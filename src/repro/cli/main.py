@@ -314,8 +314,8 @@ def _add_mining_arguments(
         "--verbose",
         action="store_true",
         help="also print the work counters (attribute-set pruning, "
-        "coverage-memo hits/misses, incremental-kernel counter updates "
-        "and the per-backend search tally)",
+        "coverage- and top-k-memo hits/misses, incremental-kernel counter "
+        "updates and the per-backend search tally)",
     )
     parser.add_argument(
         "--store",
@@ -433,6 +433,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"backends[searches]: {backends}  "
                 f"coverage memo: hits={c.coverage_memo_hits} "
                 f"misses={c.coverage_memo_misses}"
+            )
+            print(
+                f"top-k memo: hits={c.topk_memo_hits} "
+                f"misses={c.topk_memo_misses}"
             )
     if args.store:
         from repro.store import save_result

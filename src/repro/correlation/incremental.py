@@ -15,8 +15,9 @@ The invalidation logic rests on the chunk footprint of
 :mod:`repro.graph.evolve` and the soundness argument of
 :mod:`repro.quasiclique.delta`:
 
-* **Coverage memo** — entries whose working set intersects a touched
-  chunk are evicted; survivors answer for bit-identical subgraphs.
+* **Memo** — coverage and top-k entries whose working set intersects a
+  touched chunk are evicted; survivors answer for bit-identical
+  subgraphs.
 * **Roots** (frequent 1-attribute sets) — a root is *dirty* iff its
   attribute was edited or its tidset intersects a touched chunk.  A
   clean root's record is reused verbatim: its support is unchanged (the

@@ -100,11 +100,13 @@ class SCPMParams:
         byte-identical mining results; see
         :func:`repro.quasiclique.kernel.resolve_kernel_backend`.
     coverage_memo:
-        ``True`` (default) caches coverage-search results across the
-        attribute lattice in a
+        ``True`` (default) caches coverage-search and top-k pattern
+        results across the attribute lattice in a
         :class:`~repro.quasiclique.memo.CoverageMemo` — Theorem-3 sibling
         extensions frequently induce identical working vertex sets, whose
-        covered set is a pure function of ``(working set, γ, min_size)``.
+        covered set is a pure function of ``(working set, γ, min_size)``
+        and whose ranked top-k list is a pure function of
+        ``(working set, γ, min_size, k, order)``.
         Mined output is byte-identical with the memo on or off (enforced
         by the differential suite); only
         :class:`~repro.correlation.patterns.MiningCounters` memo

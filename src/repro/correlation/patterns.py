@@ -89,14 +89,16 @@ class AttributeSetResult:
 class MiningCounters:
     """Work counters collected during a mining run (used by Figure 8).
 
-    ``coverage_memo_hits``/``coverage_memo_misses`` count the
-    :class:`~repro.quasiclique.memo.CoverageMemo` consultations of the
-    run and ``kernel_counter_updates`` the incremental-kernel bookkeeping
-    (:mod:`repro.quasiclique.kernel`).  Unlike the other counters these
-    are *instrumentation*, not algorithm output: memo hit totals depend
-    on how the run was partitioned into tasks (sequential runs share one
-    memo across the whole lattice; parallel workers see the fan-out
-    snapshot plus task-local entries), so they may legitimately differ
+    ``coverage_memo_hits``/``coverage_memo_misses`` count the coverage
+    consultations of the :class:`~repro.quasiclique.memo.CoverageMemo`
+    during the run, ``topk_memo_hits``/``topk_memo_misses`` its top-k
+    pattern consultations, and ``kernel_counter_updates`` the
+    incremental-kernel bookkeeping (:mod:`repro.quasiclique.kernel`).
+    Unlike the other counters these are *instrumentation*, not
+    algorithm output: memo hit totals depend on how the run was
+    partitioned into tasks (sequential runs share one memo across the
+    whole lattice; parallel workers see the fan-out snapshot plus
+    task-local entries), so they may legitimately differ
     between ``n_jobs``/schedule configurations while the mined records
     stay byte-identical.
 
@@ -114,6 +116,8 @@ class MiningCounters:
     pattern_nodes_expanded: int = 0
     coverage_memo_hits: int = 0
     coverage_memo_misses: int = 0
+    topk_memo_hits: int = 0
+    topk_memo_misses: int = 0
     kernel_counter_updates: int = 0
     kernel_backends: Dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
@@ -132,7 +136,9 @@ class MiningCounters:
         """Rebuild counters from :meth:`to_dict` output.
 
         Unknown keys are ignored so stores written by a future version
-        with extra counters still load (the known fields round-trip).
+        with extra counters still load (the known fields round-trip);
+        counters missing from stores written by an older version
+        (``topk_memo_*``, say) default to 0.
         """
         known = {f.name for f in fields(cls)}
         payload = {k: v for k, v in data.items() if k in known}

@@ -161,10 +161,11 @@ class SCPM:
         )
         self.collect_patterns = collect_patterns
         self.measure_task_bytes = measure_task_bytes
-        #: Lattice-wide coverage memo (None when ``params.coverage_memo``
-        #: is off).  Sequential runs share it across the whole mining
-        #: run; parallel runs snapshot it at fan-out time into the worker
-        #: payload (see :class:`_BranchPayload`).
+        #: Lattice-wide memo of coverage and top-k search results (None
+        #: when ``params.coverage_memo`` is off).  Sequential runs share
+        #: it across the whole mining run; parallel runs snapshot it at
+        #: fan-out time into the worker payload (see
+        #: :class:`_BranchPayload`).
         self.coverage_memo: Optional[CoverageMemo] = (
             CoverageMemo() if params.coverage_memo else None
         )
@@ -448,6 +449,8 @@ class SCPM:
                     candidate_vertices=covered,
                     engine=params.engine,
                     kernel_backend=params.kernel_backend,
+                    memo=self.coverage_memo,
+                    counters=counters,
                 )
             )
 

@@ -11,7 +11,10 @@ Everything runs on the graph's cached bitset index
 is vertex-restricted to it, so no induced subgraph is ever materialised.
 The ``*_bitset`` variants keep the covered set as a
 :class:`~repro.graph.vertexset.VertexBitset` for the SCPM hot path; the
-classic entry points convert to ``frozenset`` at the boundary.
+classic entry points convert to ``frozenset`` at the boundary.  Both
+the coverage and the top-k search accept an optional
+:class:`~repro.quasiclique.memo.CoverageMemo`, the lattice-wide memo
+SCPM shares across attribute sets with the same working set.
 """
 
 from __future__ import annotations
@@ -227,11 +230,25 @@ def top_k_patterns(
     candidate_vertices: VertexRestriction = None,
     engine: str = "auto",
     kernel_backend: str = "auto",
+    memo: Optional[CoverageMemo] = None,
+    counters=None,
 ) -> List[StructuralCorrelationPattern]:
     """Return the top-``k`` structural correlation patterns induced by ``S``.
 
     Patterns are ranked by size (primary) then density (secondary), exactly
     as in Section 3.2.3 of the paper.
+
+    ``memo`` optionally short-circuits the search through a
+    :class:`~repro.quasiclique.memo.CoverageMemo`, keyed by
+    :meth:`~repro.quasiclique.memo.CoverageMemo.topk_key`: Theorem-3
+    siblings share covered sets, so many qualifying attribute sets rank
+    patterns over the same working set, and the ranked
+    ``(vertex set, γ)`` list — approximate ranks 2..k included — is a
+    pure function of ``(working set, γ, min_size, k, order)``.  A hit
+    rebuilds byte-identical patterns for ``S`` without constructing a
+    search.  ``counters`` (a
+    :class:`~repro.correlation.patterns.MiningCounters`) receives the
+    ``topk_memo_hits``/``topk_memo_misses`` tally.
     """
     canonical = canonical_itemset(attributes)
     index = graph.bitset_index(engine)
@@ -243,19 +260,32 @@ def top_k_patterns(
         if candidate_vertices is None
         else index.working_mask(candidate_vertices) & members
     )
-    search = QuasiCliqueSearch(
-        graph,
-        params,
-        vertices=index.bitset(working),
-        order=order,
-        engine=engine,
-        kernel_backend=kernel_backend,
-    )
+    ranked = None
+    if memo is not None:
+        key = memo.topk_key(working, params.gamma, params.min_size, k, order)
+        ranked = memo.get(key)
+        if counters is not None:
+            if ranked is None:
+                counters.topk_memo_misses += 1
+            else:
+                counters.topk_memo_hits += 1
+    if ranked is None:
+        search = QuasiCliqueSearch(
+            graph,
+            params,
+            vertices=index.bitset(working),
+            order=order,
+            engine=engine,
+            kernel_backend=kernel_backend,
+        )
+        ranked = search.top_k(k)
+        if memo is not None:
+            memo.put(key, ranked)
     return [
         StructuralCorrelationPattern(
             attributes=canonical, vertices=vertex_set, gamma=gamma
         )
-        for vertex_set, gamma in search.top_k(k)
+        for vertex_set, gamma in ranked
     ]
 
 

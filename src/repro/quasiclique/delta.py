@@ -7,9 +7,10 @@ This module answers the question every cache above the graph asks after
 an update: *does my working set intersect the touched footprint?*
 
 The soundness argument is the heart of incremental mining.  A coverage
-search (and therefore a :class:`~repro.quasiclique.memo.CoverageMemo`
-entry, an attribute-set record, or a whole mined branch) is a pure
-function of the subgraph induced by its working set ``W``.  An edge edit
+or top-k search (and therefore a
+:class:`~repro.quasiclique.memo.CoverageMemo` entry of either kind, an
+attribute-set record, or a whole mined branch) is a pure function of the
+subgraph induced by its working set ``W``.  An edge edit
 ``(u, v)`` changes adjacency containers only at the bits of ``u`` and
 ``v``; if ``W`` avoids the chunks of both endpoints then ``u, v ∉ W``
 and every restricted adjacency ``adj(x) ∩ W`` for ``x ∈ W`` is
@@ -23,7 +24,8 @@ eviction can only err toward recomputing something that was still valid
 Natives come in two shapes (the engine seam): dense int masks and
 chunked :class:`~repro.graph.sparseset.SparseBitset` containers.
 :func:`native_touches` handles both, and
-:func:`invalidate_memo` applies it to every memo key.
+:func:`invalidate_memo` applies it to ``key[0]`` of every memo key —
+the working set, for coverage and top-k keys alike.
 """
 
 from __future__ import annotations

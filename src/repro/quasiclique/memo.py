@@ -1,4 +1,4 @@
-"""Lattice-wide memoization of quasi-clique coverage results.
+"""Lattice-wide memoization of quasi-clique search results.
 
 SCPM funnels every attribute set through the same operation: the
 coverage-oriented quasi-clique search over the working vertex set
@@ -7,21 +7,37 @@ is also why identical working sets recur across the attribute lattice:
 sibling extensions inherit their candidate vertices from the *parents'*
 covered sets, so two different attribute sets frequently induce the very
 same working set — and the search would silently repeat the identical
-enumeration.  The :class:`~repro.correlation.null_models.SimulationNullModel`
-repeats the pattern per sampled support (clamped supports near |V| draw
+enumeration.  The same holds one step later for the top-k pattern
+search of every qualifying attribute set (Section 3.2.3), which runs
+over the attribute set's covered vertices.  The
+:class:`~repro.correlation.null_models.SimulationNullModel` repeats the
+coverage pattern per sampled support (clamped supports near |V| draw
 literally identical samples every run).
 
-:class:`CoverageMemo` caches those searches.  A key is
-``(working-set native, γ, min_size)`` — the engine-native working set
-(an int mask on the dense engine, a hashable
-:class:`~repro.graph.sparseset.SparseBitset` on the sparse one), which
-is *exact*: no fingerprint collisions, no false hits.  The value is the
-covered set as the same kind of indexer-free native, so an entry can
-cross process boundaries inside the parallel transfer payload and be
-re-wrapped against any worker's index.  The coverage result is a pure
-function of the key (the covered set of a vertex-restricted search does
-not depend on traversal order), so a hit returns byte-identical output
-to running the search — the memo-on/off differential suite enforces it.
+:class:`CoverageMemo` caches both kinds of search in one map, told apart
+by the key shape:
+
+* **coverage** — :meth:`CoverageMemo.key` gives
+  ``(working-set native, γ, min_size)``; the value is the covered set as
+  an indexer-free native of the same kind as the key;
+* **top-k** — :meth:`CoverageMemo.topk_key` gives
+  ``(working-set native, γ, min_size, k, order)``; the value is the
+  ``[(frozenset, γ)]`` list :meth:`QuasiCliqueSearch.top_k
+  <repro.quasiclique.search.QuasiCliqueSearch.top_k>` returns.
+
+The working-set native (an int mask on the dense engine, a hashable
+:class:`~repro.graph.sparseset.SparseBitset` on the sparse one) is
+*exact*: no fingerprint collisions, no false hits.  It always sits at
+``key[0]``, which is all chunk-level invalidation
+(:func:`repro.quasiclique.delta.invalidate_memo`) reads, so one eviction
+pass covers both kinds.  Neither value holds an indexer reference, so an
+entry can cross process boundaries inside the parallel transfer payload.
+Each result is a pure function of its key — the covered set of a
+vertex-restricted search does not depend on traversal order, and the
+top-k list (approximate ranks included) depends only on the working
+set's induced subgraph, ``k`` and the order — so a hit returns
+byte-identical output to running the search; the memo-on/off
+differential suite enforces it.
 
 Two layers keep parallel runs deterministic:
 
@@ -34,20 +50,21 @@ Two layers keep parallel runs deterministic:
   keyed-merge protocol then folds the per-task hit/miss counts back
   deterministically, independent of stealing order.
 
-``hits``/``misses`` count lookups on this instance; mining-level totals
-are accumulated into
-:class:`~repro.correlation.patterns.MiningCounters` by the callers.
+``hits``/``misses`` count lookups of either kind on this instance;
+mining-level totals are accumulated per kind into
+:class:`~repro.correlation.patterns.MiningCounters` by the callers
+(``coverage_memo_*`` and ``topk_memo_*``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-MemoKey = Tuple[Hashable, float, int]
+MemoKey = Tuple[Hashable, ...]
 
 
 class CoverageMemo:
-    """Two-layer cache of coverage-search results keyed by working set.
+    """Two-layer cache of coverage and top-k results keyed by working set.
 
     Parameters
     ----------
@@ -89,8 +106,21 @@ class CoverageMemo:
         """
         return (working_native, gamma, min_size)
 
+    @staticmethod
+    def topk_key(
+        working_native: Hashable, gamma: float, min_size: int, k: int, order: str
+    ) -> MemoKey:
+        """Build the cache key for one top-k pattern search.
+
+        Same working set and quasi-clique definition as :meth:`key`, plus
+        the two inputs the ranked list also depends on: ``k`` and the
+        traversal ``order``.  The longer tuple can never equal a coverage
+        key, so both kinds share one map.
+        """
+        return (working_native, gamma, min_size, k, order)
+
     def get(self, key: MemoKey) -> Any:
-        """Return the cached covered native, or ``None`` (counted)."""
+        """Return the cached result, or ``None`` (counted)."""
         value = self._local.get(key)
         if value is None:
             value = self._shared.get(key)
@@ -100,9 +130,9 @@ class CoverageMemo:
         self.hits += 1
         return value
 
-    def put(self, key: MemoKey, covered_native: Any) -> None:
-        """Store a computed covered set in the local layer."""
-        self._local[key] = covered_native
+    def put(self, key: MemoKey, value: Any) -> None:
+        """Store a computed result in the local layer."""
+        self._local[key] = value
 
     def snapshot(self) -> Dict[MemoKey, Any]:
         """One read-only dict of everything known — shared layer included.
@@ -121,7 +151,7 @@ class CoverageMemo:
         The invalidation hook of delta re-evaluation
         (:func:`repro.quasiclique.delta.invalidate_memo`): after a graph
         edit, entries whose working set intersects a touched chunk are
-        stale — their covered sets answer for the pre-edit subgraph —
+        stale — their results answer for the pre-edit subgraph —
         while all other entries remain exact (their induced subgraphs are
         bit-for-bit unchanged).  Both layers are scanned; the shared
         layer is mutated in place, so only the memo's owner should call

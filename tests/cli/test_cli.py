@@ -6,11 +6,40 @@ malformed filter values), ``2`` argparse usage errors (unknown flags,
 missing/conflicting lookup modes) — argparse raises ``SystemExit``.
 """
 
+import re
+
 import pytest
 
 from repro.cli.main import build_parser, main
 from repro.datasets.example import paper_example_graph
 from repro.graph.io import write_attributed_graph
+
+#: The wall-clock suffix of the mine, base-mine and delta summary lines.
+WALL_CLOCK = re.compile(r" in \d+\.\d+s$")
+
+
+def without_wall_clock(text):
+    """Output lines minus those reporting a wall-clock duration.
+
+    Every output-equality assertion goes through this: timings round
+    differently run to run, so comparing them makes a test flaky.
+    """
+    return [line for line in text.splitlines() if not WALL_CLOCK.search(line)]
+
+
+def test_without_wall_clock_drops_every_timing_line():
+    text = "\n".join([
+        "scpm-dfs: evaluated 7 attribute sets in 0.03s",
+        "base mine: evaluated 3 attribute sets in 12.50s",
+        "delta: roots 1 reused / 0 re-evaluated, branches 0 reused / 0 "
+        "rerun, 0 record(s) patched, 2 memo entr(ies) evicted in 0.00s",
+        "top-k memo: hits=3 misses=2",
+        "graph: 11 vertices, 20 edges, 5 attributes",
+    ])
+    assert without_wall_clock(text) == [
+        "top-k memo: hits=3 misses=2",
+        "graph: 11 vertices, 20 edges, 5 attributes",
+    ]
 
 
 class TestParser:
@@ -76,6 +105,7 @@ class TestMainMine:
         assert "counters: qualified=" in output
         assert "kernel: counter_updates=" in output
         assert "coverage memo: hits=" in output
+        assert "top-k memo: hits=" in output
 
     def test_mine_streaming_matches_in_memory(self, graph_files, capsys):
         """--streaming swaps the loader without changing a byte of output."""
@@ -92,11 +122,7 @@ class TestMainMine:
 
         def tables(argv):
             assert main(argv) == 0
-            out = capsys.readouterr().out
-            # Drop the timing line (wall clock differs run to run).
-            return [
-                line for line in out.splitlines() if "attribute sets in" not in line
-            ]
+            return without_wall_clock(capsys.readouterr().out)
 
         assert tables(base + ["--streaming"]) == tables(base)
 
@@ -141,7 +167,7 @@ class TestMainMine:
         assert "backends[searches]: numpy(uint8)=" in outputs["numpy"]
         # everything except the backend attribution line is identical
         strip = lambda text: [
-            line for line in text.splitlines()
+            line for line in without_wall_clock(text)
             if not line.startswith("kernel: counter_updates=")
         ]
         assert strip(outputs["numpy"]) == strip(outputs["bigint"])
