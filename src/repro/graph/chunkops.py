@@ -1,465 +1,142 @@
-"""Chunk-level kernels behind :class:`repro.graph.sparseset.SparseBitset`.
+"""Chunk algebra behind :class:`repro.graph.sparseset.SparseBitset`.
 
-The sparse engine stores a vertex set as a dictionary of 1024-bit chunks
-(see :mod:`repro.graph.sparseset` for the container layout).  This module
-owns the chunk vocabulary (:data:`CHUNK_BITS`, :data:`ARRAY_MAX`, the
-array/bitmap canonical form) and provides two interchangeable *chunk-op
-backends* that execute the bulk set algebra over those dictionaries:
+The sparse engine stores a vertex set as a dictionary ``{chunk: bits}``:
+the id space is split into :data:`CHUNK_BITS`-wide blocks, only non-empty
+blocks are kept, and each block is one Python ``int`` bitmap whose bit
+``i`` is id ``chunk * CHUNK_BITS + i``.  The bitmap is the only container
+form, and the only canonical rule is *no empty chunks* (no zero values).
+Structural equality of two dictionaries is therefore set equality, and
+hashing and pickling follow from it.
 
-* :class:`BigintChunkOps` — the reference path: per-chunk Python big-int
-  ``& | ^ ~`` and ``bit_count``.  This is the differential oracle every
-  other backend must match container-for-container.
-* :class:`NumpyChunkOps` — the vectorised path: the chunks common to both
-  operands are stacked into a ``(k, 16)`` ``uint64`` matrix (one row per
-  1024-bit chunk) so AND/OR/XOR/ANDNOT and popcounts run through numpy's
-  bulk bitwise kernels and ``np.bitwise_count`` instead of the
-  interpreter loop.  Operations touching fewer than
-  :data:`NUMPY_MIN_COMMON_CHUNKS` shared chunks delegate to the big-int
-  path — matrix setup costs more than it saves on tiny overlaps.
+There is no separate array form for thin chunks, as Roaring bitmaps have:
+Python ints are variable-width, so a chunk holding a few ids costs about
+what a sorted offset tuple would, a fuller chunk costs far less, and no
+operation ever converts between forms.  Every operation is a per-chunk
+big-int ``& | ^ ~`` or ``bit_count``.
 
-Both backends produce *identical canonical containers* (array iff
-cardinality ≤ :data:`ARRAY_MAX`, Python-int bitmaps otherwise, no empty
-chunks), so :class:`~repro.graph.sparseset.SparseBitset` equality, hashing
-and pickling are backend-independent and the differential fuzz suite in
-``tests/graph/test_chunkops.py`` can assert byte-identity.
-
-The active backend is process-global: resolved once from the
-``REPRO_CHUNK_BACKEND`` environment variable (``auto`` picks numpy when
-importable), overridable in tests via :func:`set_chunk_backend`.  The
-backend surface is a plain class of static methods over ``{chunk: container}``
-dictionaries, shaped so a C/Cython extension can register a third
-implementation without touching :mod:`repro.graph.sparseset`.
+The functions below are the whole chunk algebra; each takes and returns
+canonical dictionaries.  :class:`ChunkOps` bundles them as static methods,
+and :func:`get_chunk_backend` returns that class.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterator, Tuple, Union
+from typing import Dict
 
-from repro.errors import ParameterError
-from repro.graph.vertexset import iter_bits
-
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised only on numpy-less hosts
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-#: Width of one chunk in bits.  1024 keeps bitmap containers at 16 machine
+#: Width of one chunk in bits.  1024 keeps a full bitmap at 16 machine
 #: words — small enough that a single populated block wastes little, large
-#: enough that dense regions collapse into a handful of int (or one numpy
-#: row) operations.
+#: enough that dense regions collapse into a handful of int operations.
 CHUNK_BITS = 1024
 
-#: Array/bitmap promotion boundary: a chunk with at most this many ids is
-#: stored as a sorted offset tuple, above it as a CHUNK_BITS-bit int.
-ARRAY_MAX = 32
-
-#: 64-bit words per chunk row in the numpy backend.
-WORDS_PER_CHUNK = CHUNK_BITS // 64
-
-_CHUNK_BYTES = CHUNK_BITS // 8
-_CHUNK_MASK = (1 << CHUNK_BITS) - 1
-
-#: Below this many *shared* chunks the numpy backend delegates to the
-#: big-int loop: building two (k, 16) matrices costs more than k big-int
-#: ops until the overlap is a few chunks wide.
-NUMPY_MIN_COMMON_CHUNKS = 4
-
-BIGINT_CHUNKS = "bigint"
-NUMPY_CHUNKS = "numpy"
-CHUNK_BACKENDS = ("auto", BIGINT_CHUNKS, NUMPY_CHUNKS)
-
-#: Environment variable consulted when the backend request is ``auto``.
-CHUNK_BACKEND_ENV = "REPRO_CHUNK_BACKEND"
-
-# A container is either a sorted tuple of offsets (array) or an int (bitmap).
-Container = Union[int, Tuple[int, ...]]
-Chunks = Dict[int, Container]
+# A chunk dictionary: chunk id -> non-zero chunk-local bitmap.
+Chunks = Dict[int, int]
 
 
-def container_bits(container: Container) -> int:
-    """Bitmap form of a container (chunk-local)."""
-    if isinstance(container, int):
-        return container
-    bits = 0
-    for offset in container:
-        bits |= 1 << offset
-    return bits
-
-
-def canonical(bits: int) -> Container:
-    """Canonical container for a non-zero chunk bitmap."""
-    if bits.bit_count() <= ARRAY_MAX:
-        return tuple(iter_bits(bits))
-    return bits
-
-
-def container_count(container: Container) -> int:
-    """Cardinality of a container without materialising anything."""
-    if isinstance(container, int):
-        return container.bit_count()
-    return len(container)
-
-
-class BigintChunkOps:
-    """Reference chunk-op backend: per-chunk Python big-int arithmetic.
-
-    Every method is a static function over ``{chunk: container}``
-    dictionaries and returns canonical containers, so results can be fed
-    straight into ``SparseBitset`` without re-normalisation.  This backend
-    is the differential oracle for :class:`NumpyChunkOps` (and any future
-    native extension).
-    """
-
-    name = BIGINT_CHUNKS
-
-    @staticmethod
-    def and_chunks(a: Chunks, b: Chunks) -> Chunks:
-        """Chunk dictionary of the intersection ``a ∩ b``."""
-        if len(b) < len(a):
-            a, b = b, a
-        out: Chunks = {}
-        for chunk, container in a.items():
-            other = b.get(chunk)
-            if other is None:
-                continue
-            bits = container_bits(container) & container_bits(other)
+def and_chunks(a: Chunks, b: Chunks) -> Chunks:
+    """Chunk dictionary of the intersection ``a ∩ b``."""
+    if len(b) < len(a):
+        a, b = b, a
+    out: Chunks = {}
+    for chunk, bits in a.items():
+        other = b.get(chunk)
+        if other is not None:
+            bits &= other
             if bits:
-                out[chunk] = canonical(bits)
-        return out
+                out[chunk] = bits
+    return out
 
-    @staticmethod
-    def or_chunks(a: Chunks, b: Chunks) -> Chunks:
-        """Chunk dictionary of the union ``a ∪ b``."""
-        out: Chunks = dict(a)
-        for chunk, container in b.items():
-            existing = out.get(chunk)
-            if existing is None:
-                out[chunk] = container
-            else:
-                out[chunk] = canonical(
-                    container_bits(existing) | container_bits(container)
-                )
-        return out
 
-    @staticmethod
-    def xor_chunks(a: Chunks, b: Chunks) -> Chunks:
-        """Chunk dictionary of the symmetric difference ``a ⊕ b``."""
-        out: Chunks = dict(a)
-        for chunk, container in b.items():
-            existing = out.get(chunk)
-            if existing is None:
-                out[chunk] = container
-            else:
-                bits = container_bits(existing) ^ container_bits(container)
-                if bits:
-                    out[chunk] = canonical(bits)
-                else:
-                    del out[chunk]
-        return out
+def or_chunks(a: Chunks, b: Chunks) -> Chunks:
+    """Chunk dictionary of the union ``a ∪ b``."""
+    out: Chunks = dict(a)
+    for chunk, bits in b.items():
+        out[chunk] = out.get(chunk, 0) | bits
+    return out
 
-    @staticmethod
-    def andnot_chunks(a: Chunks, b: Chunks) -> Chunks:
-        """Chunk dictionary of the difference ``a \\ b``."""
-        out: Chunks = {}
-        for chunk, container in a.items():
-            other = b.get(chunk)
-            if other is None:
-                out[chunk] = container
+
+def xor_chunks(a: Chunks, b: Chunks) -> Chunks:
+    """Chunk dictionary of the symmetric difference ``a ⊕ b``."""
+    out: Chunks = dict(a)
+    for chunk, bits in b.items():
+        bits ^= out.get(chunk, 0)
+        if bits:
+            out[chunk] = bits
+        else:
+            del out[chunk]
+    return out
+
+
+def andnot_chunks(a: Chunks, b: Chunks) -> Chunks:
+    """Chunk dictionary of the difference ``a \\ b``."""
+    out: Chunks = {}
+    for chunk, bits in a.items():
+        other = b.get(chunk)
+        if other is not None:
+            bits &= ~other
+            if not bits:
                 continue
-            bits = container_bits(container) & ~container_bits(other)
-            if bits:
-                out[chunk] = canonical(bits)
-        return out
-
-    @staticmethod
-    def intersection_count(a: Chunks, b: Chunks) -> int:
-        """``|a ∩ b|`` without materialising the intersection."""
-        if len(b) < len(a):
-            a, b = b, a
-        count = 0
-        for chunk, container in a.items():
-            other = b.get(chunk)
-            if other is not None:
-                count += (
-                    container_bits(container) & container_bits(other)
-                ).bit_count()
-        return count
-
-    @staticmethod
-    def isdisjoint(a: Chunks, b: Chunks) -> bool:
-        """``True`` when the two chunk dictionaries share no id."""
-        if len(b) < len(a):
-            a, b = b, a
-        for chunk, container in a.items():
-            other = b.get(chunk)
-            if other is not None and container_bits(container) & container_bits(
-                other
-            ):
-                return False
-        return True
-
-    @staticmethod
-    def issubset(a: Chunks, b: Chunks) -> bool:
-        """``True`` when every id of ``a`` is in ``b``."""
-        for chunk, container in a.items():
-            other = b.get(chunk)
-            if other is None:
-                return False
-            if container_bits(container) & ~container_bits(other):
-                return False
-        return True
+        out[chunk] = bits
+    return out
 
 
-def _rows(bits_list) -> "_np.ndarray":
-    """Stack chunk bitmaps into a ``(k, WORDS_PER_CHUNK)`` uint64 matrix."""
-    buf = b"".join(bits.to_bytes(_CHUNK_BYTES, "little") for bits in bits_list)
-    return _np.frombuffer(buf, dtype="<u8").reshape(
-        len(bits_list), WORDS_PER_CHUNK
-    )
+def intersection_count(a: Chunks, b: Chunks) -> int:
+    """``|a ∩ b|`` without materialising the intersection."""
+    if len(b) < len(a):
+        a, b = b, a
+    count = 0
+    for chunk, bits in a.items():
+        other = b.get(chunk)
+        if other is not None:
+            count += (bits & other).bit_count()
+    return count
 
 
-def _row_bits(row) -> int:
-    """Python-int bitmap of one uint64 chunk row."""
-    return int.from_bytes(_np.ascontiguousarray(row).tobytes(), "little")
+def isdisjoint(a: Chunks, b: Chunks) -> bool:
+    """``True`` when the two chunk dictionaries share no id."""
+    if len(b) < len(a):
+        a, b = b, a
+    for chunk, bits in a.items():
+        other = b.get(chunk)
+        if other is not None and bits & other:
+            return False
+    return True
 
 
-class NumpyChunkOps(BigintChunkOps):
-    """Vectorised chunk-op backend over ``(k, 16)`` uint64 chunk matrices.
-
-    Inherits the big-int reference implementations and overrides the
-    chunk-parallel parts: shared chunks are stacked into uint64 matrices,
-    combined with one numpy bitwise op, popcounted with
-    ``np.bitwise_count``, and converted back to *canonical* containers
-    (Python-int bitmaps / offset tuples), so results are
-    indistinguishable from the oracle's.  Overlaps narrower than
-    :data:`NUMPY_MIN_COMMON_CHUNKS` fall through to the inherited loops.
-    """
-
-    name = NUMPY_CHUNKS
-
-    @staticmethod
-    def _common(a: Chunks, b: Chunks):
-        if len(b) < len(a):
-            a, b = b, a
-        return [chunk for chunk in a if chunk in b]
-
-    @staticmethod
-    def and_chunks(a: Chunks, b: Chunks) -> Chunks:
-        """Chunk dictionary of ``a ∩ b`` (vectorised over shared chunks)."""
-        keys = NumpyChunkOps._common(a, b)
-        if len(keys) < NUMPY_MIN_COMMON_CHUNKS:
-            return BigintChunkOps.and_chunks(a, b)
-        rows = _rows([container_bits(a[k]) for k in keys]) & _rows(
-            [container_bits(b[k]) for k in keys]
-        )
-        counts = _np.bitwise_count(rows).sum(axis=1)
-        out: Chunks = {}
-        for i, chunk in enumerate(keys):
-            count = int(counts[i])
-            if count == 0:
-                continue
-            bits = _row_bits(rows[i])
-            out[chunk] = tuple(iter_bits(bits)) if count <= ARRAY_MAX else bits
-        return out
-
-    @staticmethod
-    def or_chunks(a: Chunks, b: Chunks) -> Chunks:
-        """Chunk dictionary of ``a ∪ b`` (vectorised over shared chunks)."""
-        keys = NumpyChunkOps._common(a, b)
-        if len(keys) < NUMPY_MIN_COMMON_CHUNKS:
-            return BigintChunkOps.or_chunks(a, b)
-        out: Chunks = dict(a)
-        for chunk, container in b.items():
-            if chunk not in out:
-                out[chunk] = container
-        rows = _rows([container_bits(a[k]) for k in keys]) | _rows(
-            [container_bits(b[k]) for k in keys]
-        )
-        counts = _np.bitwise_count(rows).sum(axis=1)
-        for i, chunk in enumerate(keys):
-            count = int(counts[i])
-            bits = _row_bits(rows[i])
-            out[chunk] = tuple(iter_bits(bits)) if count <= ARRAY_MAX else bits
-        return out
-
-    @staticmethod
-    def xor_chunks(a: Chunks, b: Chunks) -> Chunks:
-        """Chunk dictionary of ``a ⊕ b`` (vectorised over shared chunks)."""
-        keys = NumpyChunkOps._common(a, b)
-        if len(keys) < NUMPY_MIN_COMMON_CHUNKS:
-            return BigintChunkOps.xor_chunks(a, b)
-        out: Chunks = dict(a)
-        for chunk, container in b.items():
-            if chunk not in out:
-                out[chunk] = container
-        rows = _rows([container_bits(a[k]) for k in keys]) ^ _rows(
-            [container_bits(b[k]) for k in keys]
-        )
-        counts = _np.bitwise_count(rows).sum(axis=1)
-        for i, chunk in enumerate(keys):
-            count = int(counts[i])
-            if count == 0:
-                del out[chunk]
-                continue
-            bits = _row_bits(rows[i])
-            out[chunk] = tuple(iter_bits(bits)) if count <= ARRAY_MAX else bits
-        return out
-
-    @staticmethod
-    def andnot_chunks(a: Chunks, b: Chunks) -> Chunks:
-        """Chunk dictionary of ``a \\ b`` (vectorised over shared chunks)."""
-        keys = [chunk for chunk in a if chunk in b]
-        if len(keys) < NUMPY_MIN_COMMON_CHUNKS:
-            return BigintChunkOps.andnot_chunks(a, b)
-        out: Chunks = {
-            chunk: container for chunk, container in a.items() if chunk not in b
-        }
-        rows = _rows([container_bits(a[k]) for k in keys]) & ~_rows(
-            [container_bits(b[k]) for k in keys]
-        )
-        counts = _np.bitwise_count(rows).sum(axis=1)
-        for i, chunk in enumerate(keys):
-            count = int(counts[i])
-            if count == 0:
-                continue
-            bits = _row_bits(rows[i])
-            out[chunk] = tuple(iter_bits(bits)) if count <= ARRAY_MAX else bits
-        return out
-
-    @staticmethod
-    def intersection_count(a: Chunks, b: Chunks) -> int:
-        """``|a ∩ b|`` via one bulk popcount over the shared chunks."""
-        keys = NumpyChunkOps._common(a, b)
-        if len(keys) < NUMPY_MIN_COMMON_CHUNKS:
-            return BigintChunkOps.intersection_count(a, b)
-        rows = _rows([container_bits(a[k]) for k in keys]) & _rows(
-            [container_bits(b[k]) for k in keys]
-        )
-        return int(_np.bitwise_count(rows).sum())
-
-    @staticmethod
-    def isdisjoint(a: Chunks, b: Chunks) -> bool:
-        """``True`` when no shared chunk intersects (one bulk AND)."""
-        keys = NumpyChunkOps._common(a, b)
-        if len(keys) < NUMPY_MIN_COMMON_CHUNKS:
-            return BigintChunkOps.isdisjoint(a, b)
-        rows = _rows([container_bits(a[k]) for k in keys]) & _rows(
-            [container_bits(b[k]) for k in keys]
-        )
-        return not bool(rows.any())
-
-    @staticmethod
-    def issubset(a: Chunks, b: Chunks) -> bool:
-        """``True`` when ``a \\ b`` is empty (one bulk AND-NOT)."""
-        if len(a) < NUMPY_MIN_COMMON_CHUNKS:
-            return BigintChunkOps.issubset(a, b)
-        bits_a = []
-        bits_b = []
-        for chunk, container in a.items():
-            other = b.get(chunk)
-            if other is None:
-                return False
-            bits_a.append(container_bits(container))
-            bits_b.append(container_bits(other))
-        rows = _rows(bits_a) & ~_rows(bits_b)
-        return not bool(rows.any())
+def issubset(a: Chunks, b: Chunks) -> bool:
+    """``True`` when every id of ``a`` is in ``b``."""
+    for chunk, bits in a.items():
+        if bits & ~b.get(chunk, 0):
+            return False
+    return True
 
 
-def iter_chunk_ids(chunk: int, container: Container) -> Iterator[int]:
-    """Yield the global ids of one container in ascending order."""
-    base = chunk * CHUNK_BITS
-    if isinstance(container, int):
-        for offset in iter_bits(container):
-            yield base + offset
-    else:
-        for offset in container:
-            yield base + offset
+class ChunkOps:
+    """The chunk algebra as one object: the functions above, unchanged."""
 
-
-def numpy_available() -> bool:
-    """``True`` when the numpy chunk backend can be used in this process."""
-    return HAVE_NUMPY
-
-
-def resolve_chunk_backend(backend: str = "auto") -> str:
-    """Resolve a chunk-backend request to ``"bigint"`` or ``"numpy"``.
-
-    ``"auto"`` consults the :data:`CHUNK_BACKEND_ENV` environment variable
-    first (same vocabulary), then picks numpy when importable.  Unknown
-    names raise :class:`repro.errors.ParameterError`; forcing ``"numpy"``
-    without numpy importable raises too, rather than silently degrading.
-    """
-    if backend not in CHUNK_BACKENDS:
-        raise ParameterError(
-            f"chunk backend must be one of {CHUNK_BACKENDS}, got {backend!r}"
-        )
-    if backend == "auto":
-        env = os.environ.get(CHUNK_BACKEND_ENV, "").strip()
-        if env and env != "auto":
-            if env not in CHUNK_BACKENDS:
-                raise ParameterError(
-                    f"{CHUNK_BACKEND_ENV} must be one of {CHUNK_BACKENDS}, "
-                    f"got {env!r}"
-                )
-            backend = env
-    if backend == "auto":
-        return NUMPY_CHUNKS if HAVE_NUMPY else BIGINT_CHUNKS
-    if backend == NUMPY_CHUNKS and not HAVE_NUMPY:
-        raise ParameterError(
-            "chunk backend 'numpy' requested but numpy is not importable"
-        )
-    return backend
-
-
-_BACKENDS = {BIGINT_CHUNKS: BigintChunkOps, NUMPY_CHUNKS: NumpyChunkOps}
-
-_active = None
+    and_chunks = staticmethod(and_chunks)
+    or_chunks = staticmethod(or_chunks)
+    xor_chunks = staticmethod(xor_chunks)
+    andnot_chunks = staticmethod(andnot_chunks)
+    intersection_count = staticmethod(intersection_count)
+    isdisjoint = staticmethod(isdisjoint)
+    issubset = staticmethod(issubset)
 
 
 def get_chunk_backend():
-    """The process-global chunk-op backend class (resolved lazily once)."""
-    global _active
-    if _active is None:
-        _active = _BACKENDS[resolve_chunk_backend("auto")]
-    return _active
-
-
-def set_chunk_backend(backend: str):
-    """Set the process-global chunk backend; returns the backend class.
-
-    Accepts the same vocabulary as :func:`resolve_chunk_backend`
-    (``"auto"`` re-runs env/availability resolution).  Tests use this to
-    pin a backend; worker processes inherit the choice through the
-    :data:`CHUNK_BACKEND_ENV` environment variable instead, since module
-    globals do not survive a ``spawn``.
-    """
-    global _active
-    _active = _BACKENDS[resolve_chunk_backend(backend)]
-    return _active
+    """The chunk-op class (:class:`ChunkOps`; there is exactly one)."""
+    return ChunkOps
 
 
 __all__ = [
-    "ARRAY_MAX",
-    "BIGINT_CHUNKS",
-    "BigintChunkOps",
-    "CHUNK_BACKENDS",
-    "CHUNK_BACKEND_ENV",
     "CHUNK_BITS",
-    "Container",
-    "HAVE_NUMPY",
-    "NUMPY_CHUNKS",
-    "NUMPY_MIN_COMMON_CHUNKS",
-    "NumpyChunkOps",
-    "WORDS_PER_CHUNK",
-    "canonical",
-    "container_bits",
-    "container_count",
+    "ChunkOps",
+    "Chunks",
+    "and_chunks",
+    "andnot_chunks",
     "get_chunk_backend",
-    "iter_chunk_ids",
-    "numpy_available",
-    "resolve_chunk_backend",
-    "set_chunk_backend",
+    "intersection_count",
+    "isdisjoint",
+    "issubset",
+    "or_chunks",
+    "xor_chunks",
 ]

@@ -7,14 +7,17 @@ implement that contract:
 
 * ``"dense"`` — :class:`repro.graph.vertexset.GraphBitsetIndex`.  One
   full-width int mask per vertex: O(|V|²/8) bytes regardless of sparsity,
-  unbeatable constant factors below ~100k vertices.
+  the faster engine while that stays small (below
+  :data:`SPARSE_VERTEX_THRESHOLD` vertices) or the graph is dense.
 * ``"sparse"`` — :class:`repro.graph.sparseset.SparseGraphBitsetIndex`.
-  Roaring-style chunked containers (:class:`repro.graph.sparseset.SparseBitset`):
-  memory tracks *edges*, not |V|², so million-vertex sparse graphs fit.
+  Chunked containers (:class:`repro.graph.sparseset.SparseBitset`, one
+  1024-bit int bitmap per non-empty block, chunk algebra in
+  :mod:`repro.graph.chunkops`): memory tracks *edges*, not |V|², so
+  million-vertex sparse graphs fit.
 
 ``"auto"`` (the default everywhere) picks per graph: dense while the dense
-index stays cheap (small |V|) or the graph is dense enough that chunked
-containers degenerate into bitmaps anyway; sparse otherwise.  Every public
+index stays cheap (small |V|) or the graph is dense enough that most
+chunks would be populated anyway; sparse otherwise.  Every public
 entry point of the miners accepts an ``engine`` argument and threads it down
 to :meth:`repro.graph.attributed_graph.AttributedGraph.bitset_index`, and
 both engines produce byte-identical :class:`~repro.correlation.patterns.MiningResult`
@@ -24,11 +27,6 @@ output (enforced by the differential suite in
 :class:`VertexSetEngine` is the structural protocol both index classes
 satisfy; code that consumes an index should depend on it, not on a concrete
 class.
-
-Orthogonal to the dense/sparse *engine* choice, the sparse engine's chunk
-algebra has its own swappable *chunk-op backend* (big-int reference loops
-vs the vectorised numpy path) — see :mod:`repro.graph.chunkops`, whose
-selection helpers are re-exported here for discoverability.
 """
 
 from __future__ import annotations
@@ -47,12 +45,6 @@ from typing import (
 )
 
 from repro.errors import EngineError
-from repro.graph.chunkops import (
-    CHUNK_BACKENDS,
-    CHUNK_BACKEND_ENV,
-    resolve_chunk_backend,
-    set_chunk_backend,
-)
 
 Vertex = Hashable
 Attribute = Hashable
@@ -185,8 +177,6 @@ def dense_index_payload_bytes(num_vertices: int) -> int:
 
 __all__ = [
     "AUTO",
-    "CHUNK_BACKENDS",
-    "CHUNK_BACKEND_ENV",
     "DENSE",
     "ENGINES",
     "LOCAL_DENSE_FAST_PATH_MAX",
@@ -195,7 +185,5 @@ __all__ = [
     "SPARSE_VERTEX_THRESHOLD",
     "VertexSetEngine",
     "dense_index_payload_bytes",
-    "resolve_chunk_backend",
     "resolve_engine",
-    "set_chunk_backend",
 ]

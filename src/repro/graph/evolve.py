@@ -57,8 +57,6 @@ from repro.graph.sparseset import (
     CHUNK_BITS,
     SparseBitset,
     SparseGraphBitsetIndex,
-    _canonical,
-    _container_bits,
 )
 
 Vertex = Hashable
@@ -141,28 +139,24 @@ class DeltaReport:
 def _set_bit(container: SparseBitset, value: int) -> Tuple[SparseBitset, bool]:
     """Return ``(container | {value}, changed)`` without mutating input."""
     chunk, offset = divmod(value, CHUNK_BITS)
-    old = container._chunks.get(chunk)
-    bits = _container_bits(old) if old is not None else 0
+    bits = container._chunks.get(chunk, 0)
     if (bits >> offset) & 1:
         return container, False
     chunks = dict(container._chunks)
-    chunks[chunk] = _canonical(bits | (1 << offset))
+    chunks[chunk] = bits | (1 << offset)
     return SparseBitset(chunks), True
 
 
 def _clear_bit(container: SparseBitset, value: int) -> Tuple[SparseBitset, bool]:
     """Return ``(container - {value}, changed)`` without mutating input."""
     chunk, offset = divmod(value, CHUNK_BITS)
-    old = container._chunks.get(chunk)
-    if old is None:
-        return container, False
-    bits = _container_bits(old)
+    bits = container._chunks.get(chunk, 0)
     if not (bits >> offset) & 1:
         return container, False
     bits &= ~(1 << offset)
     chunks = dict(container._chunks)
     if bits:
-        chunks[chunk] = _canonical(bits)
+        chunks[chunk] = bits
     else:
         del chunks[chunk]
     return SparseBitset(chunks), True

@@ -1,4 +1,4 @@
-"""Chunked (roaring-style) vertex sets — the sparse twin of :mod:`vertexset`.
+"""Chunked vertex sets — the sparse twin of :mod:`vertexset`.
 
 The dense engine stores every vertex set as one |V|-bit integer, which makes
 the *index* O(|V|²/8) bytes: one full-width adjacency mask per vertex, no
@@ -6,17 +6,12 @@ matter how few edges exist.  This module stores a vertex set as a dictionary
 of fixed-width **chunks** — only the non-empty ones — so memory tracks the
 number of elements (edges, for adjacency) instead of the universe size.
 
-Container layout, after Roaring bitmaps (Chambi et al.):
-
-* the id space is split into :data:`CHUNK_BITS`-wide blocks;
-* a block holding at most :data:`ARRAY_MAX` ids is an **array container** —
-  a sorted tuple of in-chunk offsets;
-* a denser block is a **bitmap container** — one :data:`CHUNK_BITS`-bit int.
-
-Containers are kept *canonical* (array iff cardinality ≤ :data:`ARRAY_MAX`,
-no empty chunks), so structural equality of the chunk dictionaries is set
-equality.  All binary operations work chunk-wise and never touch blocks that
-are absent from both operands.
+Container layout: the id space is split into :data:`CHUNK_BITS`-wide
+blocks, and each non-empty block is one chunk-local ``int`` bitmap.  The
+only canonical rule is *no empty chunks*, so structural equality of the
+chunk dictionaries is set equality.  All binary operations work chunk-wise
+and never touch blocks that are absent from both operands; the chunk
+algebra itself lives in :mod:`repro.graph.chunkops`.
 
 Three layers mirror :mod:`repro.graph.vertexset` exactly:
 
@@ -31,15 +26,6 @@ Three layers mirror :mod:`repro.graph.vertexset` exactly:
   per-attribute holder sets are chunked containers, and dense masks are
   materialised only inside the degree-ranked local id space of a single
   quasi-clique search (:meth:`SparseGraphBitsetIndex.local_adjacency`).
-
-The bulk set algebra (``& | ^``, and-not, intersection counts, subset and
-disjointness tests) is delegated to a swappable *chunk-op backend* in
-:mod:`repro.graph.chunkops`: the big-int reference loops, or a vectorised
-numpy path that stacks shared 1024-bit chunks into ``uint64`` matrices.
-Both backends emit identical canonical containers, so everything above
-this module is backend-oblivious; selection is process-global via the
-``REPRO_CHUNK_BACKEND`` environment variable (see
-:func:`repro.graph.chunkops.resolve_chunk_backend`).
 """
 
 from __future__ import annotations
@@ -59,13 +45,15 @@ from typing import (
 
 from repro.errors import IndexerMismatchError
 from repro.graph.chunkops import (
-    ARRAY_MAX,
     CHUNK_BITS,
-    Container,
-    canonical as _canonical,
-    container_bits as _container_bits,
-    container_count as _container_count,
-    get_chunk_backend,
+    Chunks,
+    and_chunks,
+    andnot_chunks,
+    intersection_count,
+    isdisjoint,
+    issubset,
+    or_chunks,
+    xor_chunks,
 )
 from repro.graph.engine import LOCAL_DENSE_FAST_PATH_MAX
 from repro.graph.vertexset import VertexIndexer, iter_bits
@@ -74,6 +62,10 @@ Vertex = Hashable
 Attribute = Hashable
 
 _CHUNK_MASK = (1 << CHUNK_BITS) - 1
+
+
+def _count(chunks: Chunks) -> int:
+    return sum(map(int.bit_count, chunks.values()))
 
 
 class SparseBitset:
@@ -96,43 +88,40 @@ class SparseBitset:
 
     __slots__ = ("_chunks", "_count")
 
-    def __init__(self, chunks: Optional[Dict[int, Container]] = None) -> None:
-        self._chunks: Dict[int, Container] = chunks if chunks is not None else {}
-        self._count = sum(_container_count(c) for c in self._chunks.values())
+    def __init__(self, chunks: Optional[Chunks] = None) -> None:
+        self._chunks: Chunks = chunks if chunks is not None else {}
+        self._count = _count(self._chunks)
 
     # -- construction ---------------------------------------------------
     @classmethod
     def from_iterable(cls, ids: Iterable[int]) -> "SparseBitset":
         """Build a set from arbitrary (possibly unsorted, repeated) ids."""
-        raw: Dict[int, int] = {}
+        raw: Chunks = {}
         for value in ids:
             raw[value // CHUNK_BITS] = raw.get(value // CHUNK_BITS, 0) | (
                 1 << (value % CHUNK_BITS)
             )
-        return cls({chunk: _canonical(bits) for chunk, bits in raw.items()})
+        return cls(raw)
 
     @classmethod
-    def from_chunk_bits(cls, raw: Dict[int, int]) -> "SparseBitset":
+    def from_chunk_bits(cls, raw: Chunks) -> "SparseBitset":
         """Build a set from raw per-chunk bitmaps ``{chunk: bits}``.
 
         This is the constructor the streaming ingest accumulators use:
         they collect plain chunk→bitmap dictionaries while a file is being
-        read and canonicalise (array/bitmap promotion, empty-chunk
-        dropping) only once, here.  Chunks whose bitmap is 0 are ignored.
+        read.  Chunks whose bitmap is 0 are dropped.
         """
-        return cls(
-            {chunk: _canonical(bits) for chunk, bits in raw.items() if bits}
-        )
+        return cls({chunk: bits for chunk, bits in raw.items() if bits})
 
     @classmethod
     def from_mask(cls, mask: int) -> "SparseBitset":
         """Build a set from a dense int mask (bit position = id)."""
-        chunks: Dict[int, Container] = {}
+        chunks: Chunks = {}
         chunk = 0
         while mask:
             bits = mask & _CHUNK_MASK
             if bits:
-                chunks[chunk] = _canonical(bits)
+                chunks[chunk] = bits
             mask >>= CHUNK_BITS
             chunk += 1
         return cls(chunks)
@@ -140,8 +129,8 @@ class SparseBitset:
     def to_mask(self) -> int:
         """Dense int mask with exactly this set's bits (interop/testing)."""
         mask = 0
-        for chunk, container in self._chunks.items():
-            mask |= _container_bits(container) << (chunk * CHUNK_BITS)
+        for chunk, bits in self._chunks.items():
+            mask |= bits << (chunk * CHUNK_BITS)
         return mask
 
     # -- int-mask-compatible surface ------------------------------------
@@ -157,50 +146,31 @@ class SparseBitset:
 
     def __iter__(self) -> Iterator[int]:
         """Yield member ids in ascending order."""
-        for chunk in sorted(self._chunks):
+        chunks = self._chunks
+        for chunk in sorted(chunks):
             base = chunk * CHUNK_BITS
-            container = self._chunks[chunk]
-            if isinstance(container, int):
-                for offset in iter_bits(container):
-                    yield base + offset
-            else:
-                for offset in container:
-                    yield base + offset
+            for offset in iter_bits(chunks[chunk]):
+                yield base + offset
 
     def __contains__(self, value: int) -> bool:
-        container = self._chunks.get(value // CHUNK_BITS)
-        if container is None:
-            return False
-        offset = value % CHUNK_BITS
-        if isinstance(container, int):
-            return (container >> offset) & 1 == 1
-        return offset in container
+        bits = self._chunks.get(value // CHUNK_BITS, 0)
+        return (bits >> (value % CHUNK_BITS)) & 1 == 1
 
     # -- algebra --------------------------------------------------------
-    # Every bulk operation delegates to the process-global chunk-op
-    # backend (repro.graph.chunkops): either the big-int reference loops
-    # or the vectorised numpy path.  Backends return canonical containers,
-    # so the results wrap straight into SparseBitset.
     def __and__(self, other: "SparseBitset") -> "SparseBitset":
         if not isinstance(other, SparseBitset):
             return NotImplemented
-        return SparseBitset(
-            get_chunk_backend().and_chunks(self._chunks, other._chunks)
-        )
+        return SparseBitset(and_chunks(self._chunks, other._chunks))
 
     def __or__(self, other: "SparseBitset") -> "SparseBitset":
         if not isinstance(other, SparseBitset):
             return NotImplemented
-        return SparseBitset(
-            get_chunk_backend().or_chunks(self._chunks, other._chunks)
-        )
+        return SparseBitset(or_chunks(self._chunks, other._chunks))
 
     def __xor__(self, other: "SparseBitset") -> "SparseBitset":
         if not isinstance(other, SparseBitset):
             return NotImplemented
-        return SparseBitset(
-            get_chunk_backend().xor_chunks(self._chunks, other._chunks)
-        )
+        return SparseBitset(xor_chunks(self._chunks, other._chunks))
 
     def andnot(self, other: "SparseBitset") -> "SparseBitset":
         """Set difference ``self \\ other`` (the chunked twin of ``a & ~b``)."""
@@ -208,9 +178,7 @@ class SparseBitset:
             raise TypeError(
                 f"andnot expects a SparseBitset, got {type(other).__name__}"
             )
-        return SparseBitset(
-            get_chunk_backend().andnot_chunks(self._chunks, other._chunks)
-        )
+        return SparseBitset(andnot_chunks(self._chunks, other._chunks))
 
     def __sub__(self, other: object) -> "SparseBitset":
         if not isinstance(other, SparseBitset):
@@ -219,17 +187,15 @@ class SparseBitset:
 
     def intersection_count(self, other: "SparseBitset") -> int:
         """``|self ∩ other|`` without materialising the intersection."""
-        return get_chunk_backend().intersection_count(
-            self._chunks, other._chunks
-        )
+        return intersection_count(self._chunks, other._chunks)
 
     def isdisjoint(self, other: "SparseBitset") -> bool:
         """``True`` when the two sets share no element."""
-        return get_chunk_backend().isdisjoint(self._chunks, other._chunks)
+        return isdisjoint(self._chunks, other._chunks)
 
     def issubset(self, other: "SparseBitset") -> bool:
         """``True`` when every element of ``self`` is in ``other``."""
-        return get_chunk_backend().issubset(self._chunks, other._chunks)
+        return issubset(self._chunks, other._chunks)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SparseBitset):
@@ -242,10 +208,8 @@ class SparseBitset:
     def nbytes(self) -> int:
         """Estimated heap footprint of this container in bytes."""
         total = sys.getsizeof(self) + sys.getsizeof(self._chunks)
-        for chunk, container in self._chunks.items():
-            total += sys.getsizeof(chunk) + sys.getsizeof(container)
-            if isinstance(container, tuple):
-                total += sum(sys.getsizeof(offset) for offset in container)
+        for chunk, bits in self._chunks.items():
+            total += sys.getsizeof(chunk) + sys.getsizeof(bits)
         return total
 
     def __getstate__(self):
@@ -255,7 +219,7 @@ class SparseBitset:
 
     def __setstate__(self, state) -> None:
         self._chunks = state
-        self._count = sum(_container_count(c) for c in state.values())
+        self._count = _count(state)
 
     def __repr__(self) -> str:
         preview = []
@@ -625,7 +589,6 @@ class SparseGraphBitsetIndex:
 
 
 __all__ = [
-    "ARRAY_MAX",
     "CHUNK_BITS",
     "SparseBitset",
     "SparseGraphBitsetIndex",

@@ -1,21 +1,15 @@
-"""Differential fuzz suite for the chunk-op backends.
+"""Fuzz suite for the chunk algebra in :mod:`repro.graph.chunkops`.
 
-The big-int chunk loop (:class:`repro.graph.chunkops.BigintChunkOps`) is
-the reference; the vectorised numpy backend
-(:class:`repro.graph.chunkops.NumpyChunkOps`) must produce **identical
-canonical chunk dictionaries** — container types included (offset tuple
-iff cardinality ≤ ``ARRAY_MAX``, Python-int bitmap otherwise, no empty
-chunks) — for every operation, so that
-:class:`~repro.graph.sparseset.SparseBitset` equality, hashing and
-pickling never depend on which backend computed a value.  A plain
-``set``-of-ids model is the independent third oracle both backends must
-agree with.
+Every chunk op is checked against a plain ``set``-of-ids model, and every
+dictionary it returns must be canonical: one non-zero chunk-local ``int``
+bitmap per stored chunk, no empty chunks.  That form is what makes
+:class:`~repro.graph.sparseset.SparseBitset` equality, hashing and pickling
+plain functions of the set.
 
-Randomized sets span sub-chunk, few-chunk and many-chunk shapes on both
-sides of the :data:`NUMPY_MIN_COMMON_CHUNKS` delegation threshold.  Seeds
-are fixed so failures replay; CI appends one more seed through the
-``REPRO_FUZZ_SEED`` environment variable, like the other differential
-suites.
+Randomized sets span sub-chunk, few-chunk and many-chunk shapes, with
+nearly empty and nearly full chunks mixed.  Seeds are fixed so failures
+replay; CI appends one more seed through the ``REPRO_FUZZ_SEED``
+environment variable, like the other differential suites.
 """
 
 import os
@@ -24,35 +18,14 @@ import random
 
 import pytest
 
-from repro.errors import ParameterError
-from repro.graph.chunkops import (
-    ARRAY_MAX,
-    BIGINT_CHUNKS,
-    BigintChunkOps,
-    CHUNK_BACKEND_ENV,
-    CHUNK_BITS,
-    NUMPY_CHUNKS,
-    NumpyChunkOps,
-    canonical,
-    container_bits,
-    container_count,
-    get_chunk_backend,
-    iter_chunk_ids,
-    numpy_available,
-    resolve_chunk_backend,
-    set_chunk_backend,
-)
+from repro.graph import chunkops
+from repro.graph.chunkops import CHUNK_BITS, ChunkOps, get_chunk_backend
 from repro.graph.sparseset import SparseBitset
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="chunk-op differential needs numpy"
-)
 
 BASE_SEEDS = (3, 17)
 
-#: (universe size, expected cardinality) — one-chunk sets, overlaps just
-#: under and over the numpy delegation threshold, and wide many-chunk
-#: sets with array and bitmap containers mixed.
+#: (universe size, expected cardinality) — one-chunk sets, few-chunk sets,
+#: and wide many-chunk sets from nearly empty to nearly full chunks.
 SHAPE_GRID = (
     (CHUNK_BITS // 2, 40),
     (3 * CHUNK_BITS, 90),
@@ -81,32 +54,19 @@ def fuzz_seeds():
 
 
 def chunks_of(ids):
-    """Canonical ``{chunk: container}`` dictionary of a set of ids."""
+    """Canonical ``{chunk: bits}`` dictionary of a set of ids."""
     raw = {}
     for value in ids:
         raw[value // CHUNK_BITS] = raw.get(value // CHUNK_BITS, 0) | (
             1 << (value % CHUNK_BITS)
         )
-    return {chunk: canonical(bits) for chunk, bits in raw.items()}
-
-
-def ids_of(chunks):
-    return {
-        i
-        for chunk, container in chunks.items()
-        for i in iter_chunk_ids(chunk, container)
-    }
+    return raw
 
 
 def assert_canonical(chunks):
-    for container in chunks.values():
-        count = container_count(container)
-        assert count > 0, "empty chunk survived"
-        if count <= ARRAY_MAX:
-            assert isinstance(container, tuple)
-            assert list(container) == sorted(container)
-        else:
-            assert isinstance(container, int)
+    for chunk, bits in chunks.items():
+        assert type(bits) is int, f"chunk {chunk} stored as {type(bits)}"
+        assert 0 < bits < (1 << CHUNK_BITS), f"chunk {chunk} empty or too wide"
 
 
 def random_pair(rng, universe, cardinality):
@@ -139,26 +99,27 @@ def model(op, a_ids, b_ids):
     return a_ids <= b_ids
 
 
+def check_op(op, a_ids, b_ids):
+    a, b = chunks_of(a_ids), chunks_of(b_ids)
+    a_before, b_before = dict(a), dict(b)
+    result = getattr(chunkops, op)(a, b)
+    # operands are never mutated: SparseBitset shares chunk dictionaries
+    assert a == a_before and b == b_before, op
+    if isinstance(result, dict):
+        assert_canonical(result)
+        assert result == chunks_of(model(op, a_ids, b_ids)), op
+    else:
+        assert result == model(op, a_ids, b_ids), op
+
+
 @pytest.mark.parametrize("seed", fuzz_seeds())
 @pytest.mark.parametrize("universe,cardinality", SHAPE_GRID)
-def test_numpy_chunk_ops_identical_to_bigint(seed, universe, cardinality):
+def test_chunk_ops_match_set_model(seed, universe, cardinality):
     rng = random.Random(seed * 7919 + universe + cardinality)
-    for trial in range(8):
+    for _ in range(8):
         a_ids, b_ids = random_pair(rng, universe, cardinality)
-        a, b = chunks_of(a_ids), chunks_of(b_ids)
         for op in OPS:
-            reference = getattr(BigintChunkOps, op)(a, b)
-            vectorized = getattr(NumpyChunkOps, op)(a, b)
-            assert vectorized == reference, (op, seed, trial)
-            if isinstance(reference, dict):
-                assert_canonical(reference)
-                assert_canonical(vectorized)
-                # container *types* must match too, not just the id sets
-                for chunk, container in reference.items():
-                    assert type(vectorized[chunk]) is type(container)
-                assert ids_of(reference) == model(op, a_ids, b_ids)
-            else:
-                assert reference == model(op, a_ids, b_ids)
+            check_op(op, a_ids, b_ids)
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
@@ -172,76 +133,36 @@ def test_subset_and_edge_shapes(seed):
         (set(), base),  # empty operand
         (base, set()),
         (base, base),  # identical operands
+        (sub, base - sub),  # disjoint operands sharing chunks
     ]
     for a_ids, b_ids in cases:
-        a, b = chunks_of(a_ids), chunks_of(b_ids)
         for op in OPS:
-            reference = getattr(BigintChunkOps, op)(a, b)
-            vectorized = getattr(NumpyChunkOps, op)(a, b)
-            assert vectorized == reference, op
+            check_op(op, a_ids, b_ids)
+
+
+def test_get_chunk_backend_is_the_one_ops_class():
+    assert get_chunk_backend() is ChunkOps
+    for op in OPS:
+        assert getattr(ChunkOps, op) is getattr(chunkops, op)
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
-def test_sparsebitset_equality_hash_pickle_across_backends(seed):
-    """Values computed under different active backends are interchangeable."""
+def test_sparsebitset_equality_hash_pickle_round_trip(seed):
+    """Equal sets reached by different routes are interchangeable."""
     rng = random.Random(seed * 31)
     a_ids, b_ids = random_pair(rng, 12 * CHUNK_BITS, 4000)
-    previous = get_chunk_backend()
-    try:
-        set_chunk_backend(BIGINT_CHUNKS)
-        by_bigint = {
-            "and": SparseBitset(chunks_of(a_ids)) & SparseBitset(chunks_of(b_ids)),
-            "or": SparseBitset(chunks_of(a_ids)) | SparseBitset(chunks_of(b_ids)),
-            "andnot": SparseBitset(chunks_of(a_ids)).andnot(
-                SparseBitset(chunks_of(b_ids))
-            ),
-        }
-        set_chunk_backend(NUMPY_CHUNKS)
-        by_numpy = {
-            "and": SparseBitset(chunks_of(a_ids)) & SparseBitset(chunks_of(b_ids)),
-            "or": SparseBitset(chunks_of(a_ids)) | SparseBitset(chunks_of(b_ids)),
-            "andnot": SparseBitset(chunks_of(a_ids)).andnot(
-                SparseBitset(chunks_of(b_ids))
-            ),
-        }
-    finally:
-        set_chunk_backend(previous.name)
-    for key, reference in by_bigint.items():
-        other = by_numpy[key]
-        assert other == reference
-        assert hash(other) == hash(reference)
-        assert pickle.dumps(other._chunks) == pickle.dumps(reference._chunks)
-
-
-# ----------------------------------------------------------------------
-# backend resolution and the process-global switch
-# ----------------------------------------------------------------------
-def test_resolve_rejects_unknown_names():
-    with pytest.raises(ParameterError):
-        resolve_chunk_backend("roaring")
-
-
-def test_resolve_auto_prefers_numpy_when_available(monkeypatch):
-    monkeypatch.delenv(CHUNK_BACKEND_ENV, raising=False)
-    assert resolve_chunk_backend("auto") == NUMPY_CHUNKS
-
-
-def test_env_override_steers_auto(monkeypatch):
-    monkeypatch.setenv(CHUNK_BACKEND_ENV, BIGINT_CHUNKS)
-    assert resolve_chunk_backend("auto") == BIGINT_CHUNKS
-    monkeypatch.setenv(CHUNK_BACKEND_ENV, "not-a-backend")
-    with pytest.raises(ParameterError):
-        resolve_chunk_backend("auto")
-    # explicit names ignore the environment entirely
-    assert resolve_chunk_backend(NUMPY_CHUNKS) == NUMPY_CHUNKS
-
-
-def test_set_chunk_backend_switches_and_restores():
-    previous = get_chunk_backend()
-    try:
-        assert set_chunk_backend(BIGINT_CHUNKS) is BigintChunkOps
-        assert get_chunk_backend() is BigintChunkOps
-        assert set_chunk_backend(NUMPY_CHUNKS) is NumpyChunkOps
-        assert get_chunk_backend() is NumpyChunkOps
-    finally:
-        set_chunk_backend(previous.name)
+    a, b = SparseBitset.from_iterable(a_ids), SparseBitset.from_iterable(b_ids)
+    computed = {
+        "and": (a & b, a_ids & b_ids),
+        "or": (a | b, a_ids | b_ids),
+        "xor": (a ^ b, a_ids ^ b_ids),
+        "andnot": (a.andnot(b), a_ids - b_ids),
+    }
+    for key, (value, ids) in computed.items():
+        rebuilt = SparseBitset.from_iterable(sorted(ids, reverse=True))
+        assert value == rebuilt, key
+        assert hash(value) == hash(rebuilt), key
+        restored = pickle.loads(pickle.dumps(value))
+        assert restored == value and hash(restored) == hash(value), key
+        assert restored.bit_count() == len(ids), key
+        assert set(restored) == ids, key

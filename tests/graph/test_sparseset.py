@@ -2,9 +2,9 @@
 
 Every algebraic operation of :class:`repro.graph.sparseset.SparseBitset` is
 mirrored against plain Python ``set`` semantics over seeded random inputs
-that straddle chunk and container-promotion boundaries, so array/bitmap
-promotion, chunk dropping and iteration order can never drift from set
-semantics unnoticed.
+that straddle chunk boundaries, so the canonical form (one non-zero int
+bitmap per stored chunk), chunk dropping and iteration order can never
+drift from set semantics unnoticed.
 """
 
 import random
@@ -12,8 +12,8 @@ import random
 import pytest
 
 from repro.errors import IndexerMismatchError
+from repro.graph.evolve import EdgeEdit, apply_edge_batch
 from repro.graph.sparseset import (
-    ARRAY_MAX,
     CHUNK_BITS,
     SparseBitset,
     SparseGraphBitsetIndex,
@@ -40,8 +40,8 @@ class TestSparseBitsetAlgebra:
     @pytest.mark.parametrize(
         "universe",
         [
-            60,  # everything inside one chunk, array containers
-            CHUNK_BITS,  # single chunk, mixed containers
+            60,  # everything inside one chunk, low offsets only
+            CHUNK_BITS,  # single chunk, the full offset range
             CHUNK_BITS * 5,  # several chunks
             CHUNK_BITS * 300,  # mostly-empty chunk space
         ],
@@ -99,29 +99,15 @@ class TestSparseBitsetAlgebra:
         assert empty.isdisjoint(other)
 
 
-class TestContainerPromotion:
-    def containers_of(self, sparse):
-        return {chunk: type(c) for chunk, c in sparse._chunks.items()}
+def assert_canonical(sparse):
+    """Every stored chunk is a non-zero in-range int; the count agrees."""
+    for chunk, bits in sparse._chunks.items():
+        assert type(bits) is int, f"chunk {chunk} stored as {type(bits)}"
+        assert 0 < bits < (1 << CHUNK_BITS), f"chunk {chunk} empty or too wide"
+    assert sparse.bit_count() == sum(b.bit_count() for b in sparse._chunks.values())
 
-    def test_boundary_cardinalities(self):
-        # exactly ARRAY_MAX members -> array container (sorted tuple)
-        at_boundary = SparseBitset.from_iterable(range(ARRAY_MAX))
-        assert self.containers_of(at_boundary) == {0: tuple}
-        assert at_boundary._chunks[0] == tuple(range(ARRAY_MAX))
-        # one past the boundary -> bitmap container (int)
-        promoted = SparseBitset.from_iterable(range(ARRAY_MAX + 1))
-        assert self.containers_of(promoted) == {0: int}
 
-    def test_operations_keep_containers_canonical(self):
-        dense_chunk = SparseBitset.from_iterable(range(ARRAY_MAX * 4))
-        thin = SparseBitset.from_iterable(range(0, ARRAY_MAX * 4, 8))
-        # intersection shrinks below the boundary -> demoted back to array
-        shrunk = dense_chunk & thin
-        assert self.containers_of(shrunk) == {0: tuple}
-        # union past the boundary -> promoted to bitmap
-        grown = thin | dense_chunk
-        assert self.containers_of(grown) == {0: int}
-
+class TestCanonicalForm:
     def test_empty_chunks_are_dropped(self):
         a = SparseBitset.from_iterable([1, CHUNK_BITS + 1])
         b = SparseBitset.from_iterable([CHUNK_BITS + 1])
@@ -135,32 +121,97 @@ class TestContainerPromotion:
         current = SparseBitset.from_iterable(
             rng.randrange(CHUNK_BITS * 3) for _ in range(50)
         )
-        for _ in range(30):
-            other = SparseBitset.from_iterable(
-                rng.randrange(CHUNK_BITS * 3) for _ in range(50)
-            )
-            op = rng.choice(["and", "or", "xor", "sub"])
+        model = set(current)
+        for _ in range(40):
+            # 5..400 ids over three chunks: sparse and nearly full chunks
+            other_ids = {
+                rng.randrange(CHUNK_BITS * 3) for _ in range(rng.randrange(5, 400))
+            }
+            other = SparseBitset.from_iterable(other_ids)
+            op = rng.choice(["and", "or", "xor", "andnot"])
             if op == "and":
-                current = current & other
+                current, model = current & other, model & other_ids
             elif op == "or":
-                current = current | other
+                current, model = current | other, model | other_ids
             elif op == "xor":
-                current = current ^ other
+                current, model = current ^ other, model ^ other_ids
             else:
-                current = current - other
-            for chunk, container in current._chunks.items():
-                count = (
-                    container.bit_count()
-                    if isinstance(container, int)
-                    else len(container)
+                current, model = current.andnot(other), model - other_ids
+            assert_canonical(current)
+            assert set(current) == model
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_constructors_store_only_nonzero_ints(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            ids = {rng.randrange(CHUNK_BITS * 6) for _ in range(rng.randrange(60))}
+            mask = sum(1 << i for i in ids)
+            raw = {}
+            for i in ids:
+                raw[i // CHUNK_BITS] = raw.get(i // CHUNK_BITS, 0) | (
+                    1 << (i % CHUNK_BITS)
                 )
-                assert count > 0, "empty chunk retained"
-                if isinstance(container, tuple):
-                    assert count <= ARRAY_MAX
-                    assert list(container) == sorted(container)
+            raw[99] = 0  # empty raw chunks are dropped, never stored
+            built = [
+                SparseBitset.from_iterable(ids),
+                SparseBitset.from_mask(mask),
+                SparseBitset.from_chunk_bits(raw),
+            ]
+            for sparse in built:
+                assert_canonical(sparse)
+                assert set(sparse) == ids
+                assert sparse.to_mask() == mask
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_evolve_bit_edits_keep_canonical_form(self, seed):
+        rng = random.Random(seed)
+        graph = AttributedGraph()
+        num_vertices = 3 * CHUNK_BITS
+        for v in range(num_vertices):
+            graph.add_vertex(v)
+        index = SparseGraphBitsetIndex.build(graph)
+        edges = set()
+        for _ in range(6):
+            edits = []
+            for _ in range(150):
+                if edges and rng.random() < 0.4:
+                    u, v = rng.choice(sorted(edges))
+                    edges.discard((u, v))
+                    edits.append(EdgeEdit(u, v, add=False))
                 else:
-                    assert count > ARRAY_MAX
-                    assert container < (1 << CHUNK_BITS)
+                    u, v = sorted(rng.sample(range(num_vertices), 2))
+                    edges.add((u, v))
+                    edits.append(EdgeEdit(u, v, add=True))
+            apply_edge_batch(index, edits)
+            model = {v: set() for v in range(num_vertices)}
+            for u, v in edges:
+                model[u].add(v)
+                model[v].add(u)
+            for vertex, neighbours in model.items():
+                container = index.adjacency_mask(vertex)
+                assert_canonical(container)
+                assert {index.indexer.vertex_of(i) for i in container} == neighbours
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_structural_equality_is_set_equality(self, seed):
+        rng = random.Random(seed)
+        universe = CHUNK_BITS * 4
+        for _ in range(40):
+            a_ids = {rng.randrange(universe) for _ in range(rng.randrange(80))}
+            b_ids = {rng.randrange(universe) for _ in range(rng.randrange(80))}
+            a = SparseBitset.from_iterable(a_ids)
+            b = SparseBitset.from_iterable(b_ids)
+            # the same set reached by different routes compares and hashes equal
+            routes = [
+                (a | b).andnot(b) | (a & b),
+                (a ^ b) ^ b,
+                SparseBitset.from_mask(a.to_mask()),
+            ]
+            for other in routes:
+                assert other == a
+                assert hash(other) == hash(a)
+            assert (a == b) == (a_ids == b_ids)
+            assert ((a & b) == (b & a)) and ((a | b) == (b | a))
 
 
 class TestSparseVertexBitset:
