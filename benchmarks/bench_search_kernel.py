@@ -2,23 +2,21 @@
 
 Times :meth:`~repro.quasiclique.search.QuasiCliqueSearch.covered_mask`
 on planted-community graphs with the incremental-counter kernel
-(:mod:`repro.quasiclique.kernel`) against the historical from-scratch
-mask recomputation (``use_incremental_kernel=False``), on a **node
-budget**: both loops visit the identical set-enumeration tree (the
-differential suite proves it), so capping the expanded-node count times
-the same work on both sides regardless of how long the full enumeration
-would run.
+(:mod:`repro.quasiclique.kernel`) against the from-scratch mask
+recomputation the test suite keeps as its oracle
+(``tests/quasiclique/oracle.py``), on a **node budget**: both loops
+visit the identical set-enumeration tree (the differential suite proves
+it), so capping the expanded-node count times the same work on both
+sides regardless of how long the full enumeration would run.
 
 The workload is the kernel's target regime: γ < 0.5 disables the
 diameter bound, so candidate sets stay fat and the oracle re-popcounts
 every candidate at every node and every fixpoint round — exactly the
 sweeps the kernel's lane vectors replace with O(|V|/64)-word operations.
-The acceptance bar for this PR is a ≥ 2× wall-clock speedup; in practice
-the kernel wins by ~4–5×.  (On γ ≥ 0.5 workloads the automatic kernel
-selection keeps whichever loop is faster per search — see
-``KERNEL_AUTO_MIN_VERTICES`` — and the lattice-wide
-:class:`~repro.quasiclique.memo.CoverageMemo` removes repeated searches
-altogether; those paths are covered by ``run_benchmarks.py``.)
+The acceptance bar is a ≥ 2× wall-clock speedup; in practice the kernel
+wins by ~4–5×.  (γ ≥ 0.5 workloads and the lattice-wide
+:class:`~repro.quasiclique.memo.CoverageMemo` are covered by
+``run_benchmarks.py``.)
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ import time
 from repro.datasets.synthetic import CommunitySpec, SyntheticSpec, generate
 from repro.quasiclique.definitions import QuasiCliqueParams
 from repro.quasiclique.search import QuasiCliqueSearch, SearchBudgetExceeded
+from tests.quasiclique.oracle import OracleSearch
 
 from conftest import bench_scale
 
@@ -54,13 +53,8 @@ def _build_graph():
     )
 
 
-def _timed_coverage(graph, params, budget, use_kernel):
-    search = QuasiCliqueSearch(
-        graph,
-        params,
-        node_budget=budget,
-        use_incremental_kernel=use_kernel,
-    )
+def _timed_coverage(graph, params, budget, search_class):
+    search = search_class(graph, params, node_budget=budget)
     started = time.perf_counter()
     try:
         covered = search.covered_mask()
@@ -75,10 +69,10 @@ def test_search_kernel_speedup(emit):
     budget = max(10_000, int(NODE_BUDGET * bench_scale()))
 
     oracle_seconds, oracle_stats, oracle_covered = _timed_coverage(
-        graph, params, budget, use_kernel=False
+        graph, params, budget, OracleSearch
     )
     kernel_seconds, kernel_stats, kernel_covered = _timed_coverage(
-        graph, params, budget, use_kernel=True
+        graph, params, budget, QuasiCliqueSearch
     )
 
     # identical work: same tree, same prunes, same (partial) answer

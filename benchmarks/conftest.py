@@ -13,6 +13,7 @@ output survives pytest's capture.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,12 @@ from repro.datasets.profiles import (
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The kernel benchmark times the search against the test suite's
+# from-scratch oracle, imported as ``tests.quasiclique.oracle``.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
 
 def bench_scale() -> float:

@@ -33,11 +33,15 @@ from repro.correlation.scpm import mine_scpm
 from repro.correlation.structural import structural_correlation
 from repro.datasets.synthetic import CommunitySpec, SyntheticSpec, generate
 from repro.itemsets.eclat import EclatConfig, EclatMiner
+from repro.quasiclique import kernel
 from repro.quasiclique.definitions import QuasiCliqueParams
-from repro.quasiclique.kernel import numpy_available
 from repro.quasiclique.search import QuasiCliqueSearch
 from repro.serve import PatternStoreReader
 from repro.store import PatternStore
+
+# The kernel-vs-oracle row times the test suite's from-scratch loop.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.quasiclique.oracle import OracleSearch  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_results.json"
 
@@ -113,11 +117,12 @@ def run_grid(scale: float, jobs_grid, engines, schedules):
     # Incremental-counter kernel vs the from-scratch oracle on the same
     # whole-graph coverage search (the kernel-op trajectory; the ≥2×
     # acceptance bar lives in bench_search_kernel.py's harder workload).
-    for use_kernel, op in ((False, "coverage_kernel_oracle"), (True, "coverage_kernel_incremental")):
+    for search_class, op in (
+        (OracleSearch, "coverage_kernel_oracle"),
+        (QuasiCliqueSearch, "coverage_kernel_incremental"),
+    ):
         # engine pinned so the recorded label stays true at any --scale
-        search = QuasiCliqueSearch(
-            graph, qc, engine="dense", use_incremental_kernel=use_kernel
-        )
+        search = search_class(graph, qc, engine="dense")
         seconds = timed(search.covered_mask)
         entries.append(
             entry(
@@ -131,23 +136,19 @@ def run_grid(scale: float, jobs_grid, engines, schedules):
         )
 
     # Counter-lane backend rows: the same dense coverage search once per
-    # kernel backend, each row labelled with the resolved backend/dtype
+    # kernel backend, each row labelled with the backend/dtype
     # (``bigint`` / ``numpy(uint8)`` / ``numpy(uint16)``) so the
     # trajectory attributes kernel perf moves to the lane representation.
     # The ≥3× acceptance bar lives in bench_numpy_kernel.py's wide
     # workload; this graph is deliberately the small trajectory one.
-    for backend in ("bigint", "numpy"):
-        if backend == "numpy" and not numpy_available():
-            continue
-        # kernel forced: the γ=0.6 auto rule would keep the oracle on this
-        # small graph and leave the backend label empty
-        search = QuasiCliqueSearch(
-            graph,
-            qc,
-            engine="dense",
-            use_incremental_kernel=True,
-            kernel_backend=backend,
-        )
+    # Each backend is forced through the factory's working-set threshold.
+    default_threshold = kernel.NUMPY_AUTO_MIN_VERTICES
+    for threshold in (kernel.KERNEL_MAX_VERTICES + 1, 0):
+        kernel.NUMPY_AUTO_MIN_VERTICES = threshold
+        try:
+            search = QuasiCliqueSearch(graph, qc, engine="dense")
+        finally:
+            kernel.NUMPY_AUTO_MIN_VERTICES = default_threshold
         seconds = timed(search.covered_mask)
         entries.append(
             entry(

@@ -50,10 +50,9 @@ patches an existing stored run instead.
 streaming ingest (:mod:`repro.graph.streaming`): the files are folded
 straight into the sparse bitset index, so the whole
 file → stream → (parallel) scheduler → results path never materialises a
-hashed ``AttributedGraph``.  ``--engine``, ``--kernel-backend`` and
-``--jobs`` select the vertex-set engine, the search-kernel counter-lane
-backend and the worker-process count on either path; the mined output is
-byte-identical regardless of loader, engine, kernel backend or job count.
+hashed ``AttributedGraph``.  ``--engine`` and ``--jobs`` select the
+vertex-set engine and the worker-process count on either path; the mined
+output is byte-identical regardless of loader, engine or job count.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ from repro.graph.engine import ENGINES
 from repro.graph.io import read_attributed_graph
 from repro.graph.statistics import summarize
 from repro.graph.streaming import stream_attributed_graph
-from repro.quasiclique.kernel import KERNEL_BACKENDS
 from repro.quasiclique.search import BFS, DFS
 
 
@@ -288,14 +286,6 @@ def _add_mining_arguments(
         "or auto selection by graph shape (default: auto, or the profile's)",
     )
     parser.add_argument(
-        "--kernel-backend",
-        choices=KERNEL_BACKENDS,
-        default=None,
-        help="counter-lane backend of the incremental search kernel: "
-        "big-int SWAR lanes, vectorized numpy lanes, or auto selection "
-        "by working-set size (default: auto, or the profile's)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -347,7 +337,6 @@ def _params_from_args(args: argparse.Namespace, defaults: Optional[SCPMParams]) 
         ),
         order=args.order,
         engine=pick("engine", base.engine),
-        kernel_backend=pick("kernel_backend", base.kernel_backend),
         n_jobs=pick("jobs", base.n_jobs),
     )
 

@@ -88,16 +88,14 @@ class NaiveMiner:
                 vertices=members,
                 order=params.order,
                 engine=params.engine,
-                kernel_backend=params.kernel_backend,
             )
             quasi_cliques = search.enumerate_maximal()
             counters.coverage_nodes_expanded += search.stats.nodes_expanded
             counters.kernel_counter_updates += search.stats.counter_updates
             label = search.stats.kernel_backend_label()
-            if label:
-                counters.kernel_backends[label] = (
-                    counters.kernel_backends.get(label, 0) + 1
-                )
+            counters.kernel_backends[label] = (
+                counters.kernel_backends.get(label, 0) + 1
+            )
 
             covered = frozenset().union(*quasi_cliques) if quasi_cliques else frozenset()
             epsilon = len(covered) / support if support else 0.0

@@ -15,7 +15,6 @@ from repro.graph.engine import resolve_engine
 from repro.parallel.scheduler import DEFAULT_TASK_BATCH_SIZE, validate_jobs
 from repro.parallel.transfer import resolve_transfer
 from repro.quasiclique.definitions import QuasiCliqueParams
-from repro.quasiclique.kernel import resolve_kernel_backend
 from repro.quasiclique.search import BFS, DFS
 
 STRIPE = "stripe"
@@ -88,17 +87,6 @@ class SCPMParams:
         ``"auto"`` (default — picked per graph by |V| and edge density, see
         :mod:`repro.graph.engine`).  Both engines produce byte-identical
         mining results.
-    kernel_backend:
-        Counter-lane backend of the incremental search kernel:
-        ``"bigint"`` (SWAR lanes in one Python int — the differential
-        oracle), ``"numpy"`` (lanes in a ``uint8``/``uint16`` array,
-        vectorised retirement and threshold rules) or ``"auto"``
-        (default — consults the ``REPRO_KERNEL_BACKEND`` environment
-        variable, then picks numpy for working sets of at least
-        :data:`~repro.quasiclique.kernel.NUMPY_AUTO_MIN_VERTICES`
-        vertices when numpy is importable).  All backends produce
-        byte-identical mining results; see
-        :func:`repro.quasiclique.kernel.resolve_kernel_backend`.
     coverage_memo:
         ``True`` (default) caches coverage-search and top-k pattern
         results across the attribute lattice in a
@@ -127,7 +115,6 @@ class SCPMParams:
     order: str = field(default=DFS)
     n_jobs: int = 1
     engine: str = "auto"
-    kernel_backend: str = "auto"
     schedule: str = STEAL
     fanout_depth: int = 2
     task_batch_size: int = DEFAULT_TASK_BATCH_SIZE
@@ -178,7 +165,6 @@ class SCPMParams:
         # Raises EngineError (a ParameterError) on unknown names; the
         # resolved result for this placeholder shape is discarded.
         resolve_engine(self.engine, 0, 0)
-        resolve_kernel_backend(self.kernel_backend, 0)
         resolve_transfer(self.transfer)
 
     def resolved_jobs(self) -> int:

@@ -102,10 +102,12 @@ class MiningCounters:
     between ``n_jobs``/schedule configurations while the mined records
     stay byte-identical.
 
-    ``kernel_backends`` tallies kernel-driven coverage searches per
-    counter-lane backend, keyed by label (``"bigint"``,
-    ``"numpy(uint8)"``, ``"numpy(uint16)"``) — the attribution the CLI's
-    ``--verbose`` counters and the benchmark rows report.
+    ``kernel_backends`` tallies every ε search — SCPM's coverage
+    searches, the naive miner's enumerations; each runs on the
+    incremental-counter kernel — by the counter-lane backend that drove
+    it, keyed by label (``"bigint"``, ``"numpy(uint8)"``,
+    ``"numpy(uint16)"``) — the attribution the CLI's ``--verbose``
+    counters and the benchmark rows report.
     """
 
     attribute_sets_evaluated: int = 0

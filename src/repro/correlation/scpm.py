@@ -425,7 +425,6 @@ class SCPM:
             order=params.order,
             candidate_vertices=candidate_vertices,
             engine=params.engine,
-            kernel_backend=params.kernel_backend,
             memo=self.coverage_memo,
             counters=counters,
         )
@@ -448,7 +447,6 @@ class SCPM:
                     order=params.order,
                     candidate_vertices=covered,
                     engine=params.engine,
-                    kernel_backend=params.kernel_backend,
                     memo=self.coverage_memo,
                     counters=counters,
                 )

@@ -41,7 +41,6 @@ def structural_correlation_bitset(
     order: str = DFS,
     candidate_vertices: VertexRestriction = None,
     engine: str = "auto",
-    kernel_backend: str = "auto",
     memo: Optional[CoverageMemo] = None,
     counters=None,
 ) -> Tuple[float, VertexBitset]:
@@ -60,10 +59,8 @@ def structural_correlation_bitset(
     a hit returns byte-identical output without constructing a search.
     ``counters`` (a :class:`~repro.correlation.patterns.MiningCounters`)
     receives the memo hit/miss and kernel instrumentation, including a
-    per-backend tally of kernel-driven coverage searches keyed by
-    ``"bigint"`` / ``"numpy(uint8)"`` / ``"numpy(uint16)"`` labels;
-    ``kernel_backend`` selects the counter-lane backend (see
-    :func:`repro.quasiclique.kernel.resolve_kernel_backend`).
+    per-backend tally of coverage searches keyed by ``"bigint"`` /
+    ``"numpy(uint8)"`` / ``"numpy(uint16)"`` labels.
     """
     index = graph.bitset_index(engine)
     members = index.members_mask(attributes)
@@ -82,7 +79,6 @@ def structural_correlation_bitset(
         working,
         order=order,
         engine=engine,
-        kernel_backend=kernel_backend,
         memo=memo,
     )
     if counters is not None:
@@ -93,10 +89,9 @@ def structural_correlation_bitset(
                 counters.coverage_memo_misses += 1
             counters.kernel_counter_updates += search.stats.counter_updates
             label = search.stats.kernel_backend_label()
-            if label:
-                counters.kernel_backends[label] = (
-                    counters.kernel_backends.get(label, 0) + 1
-                )
+            counters.kernel_backends[label] = (
+                counters.kernel_backends.get(label, 0) + 1
+            )
     return covered.bit_count() / members.bit_count(), index.bitset(covered)
 
 
@@ -107,7 +102,6 @@ def covered_native(
     working,
     order: str = DFS,
     engine: str = "auto",
-    kernel_backend: str = "auto",
     memo: Optional[CoverageMemo] = None,
 ):
     """Covered set of one working set as an engine native, memo-aware.
@@ -130,7 +124,6 @@ def covered_native(
         vertices=index.bitset(working),
         order=order,
         engine=engine,
-        kernel_backend=kernel_backend,
     )
     covered = search.covered_to_global(search.covered_mask(), index)
     if memo is not None:
@@ -197,7 +190,6 @@ def coverage_search(
     order: str = DFS,
     candidate_vertices: VertexRestriction = None,
     engine: str = "auto",
-    kernel_backend: str = "auto",
 ) -> QuasiCliqueSearch:
     """Build (without running) the coverage search object for ``G(S)``.
 
@@ -217,7 +209,6 @@ def coverage_search(
         vertices=index.bitset(working),
         order=order,
         engine=engine,
-        kernel_backend=kernel_backend,
     )
 
 
@@ -229,7 +220,6 @@ def top_k_patterns(
     order: str = DFS,
     candidate_vertices: VertexRestriction = None,
     engine: str = "auto",
-    kernel_backend: str = "auto",
     memo: Optional[CoverageMemo] = None,
     counters=None,
 ) -> List[StructuralCorrelationPattern]:
@@ -276,7 +266,6 @@ def top_k_patterns(
             vertices=index.bitset(working),
             order=order,
             engine=engine,
-            kernel_backend=kernel_backend,
         )
         ranked = search.top_k(k)
         if memo is not None:

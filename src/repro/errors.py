@@ -75,10 +75,11 @@ class KernelCapacityError(ParameterError):
     (:data:`repro.quasiclique.kernel.KERNEL_MAX_VERTICES`), the numpy
     backend by the dtype its counter array uses (``uint8`` up to
     :data:`repro.quasiclique.kernel.NUMPY_UINT8_MAX_VERTICES` vertices,
-    ``uint16`` up to the same 32767-vertex lane bound).  Forcing a kernel
-    onto a larger working set raises this instead of silently falling back
-    to the oracle loop; automatic selection still falls back cleanly.
-    The offending size and the limit are carried as attributes.
+    ``uint16`` up to the same 32767-vertex lane bound).  Every quasi-clique
+    search runs on a kernel, so a working set beyond that bound makes
+    :class:`~repro.quasiclique.search.QuasiCliqueSearch` construction raise
+    this; there is no fallback loop.  The offending size, the limit and
+    the backend are carried as attributes.
     """
 
     def __init__(self, working_set_size: int, limit: int, backend: str) -> None:

@@ -15,13 +15,6 @@ from repro.quasiclique.definitions import (
 )
 from repro.quasiclique.kernel import SearchKernel
 from repro.quasiclique.memo import CoverageMemo
-from repro.quasiclique.pruning import (
-    DistanceIndex,
-    filter_candidates_by_degree,
-    prune_low_degree_vertices,
-    restrict_candidates,
-    subtree_is_hopeless,
-)
 from repro.quasiclique.reference import (
     brute_force_covered_vertices,
     brute_force_maximal_quasi_cliques,
@@ -43,7 +36,6 @@ __all__ = [
     "BFS",
     "CoverageMemo",
     "DFS",
-    "DistanceIndex",
     "QuasiCliqueParams",
     "QuasiCliqueSearch",
     "SearchBudgetExceeded",
@@ -55,16 +47,12 @@ __all__ = [
     "brute_force_structural_correlation",
     "chunk_of",
     "chunks_of_native",
-    "filter_candidates_by_degree",
     "invalidate_memo",
     "native_touches",
     "find_quasi_cliques",
     "gamma_of",
-    "prune_low_degree_vertices",
-    "restrict_candidates",
     "restricted_adjacency",
     "satisfies_degree_condition",
-    "subtree_is_hopeless",
     "top_k_quasi_cliques",
     "vertices_in_quasi_cliques",
 ]

@@ -7,8 +7,7 @@ they build on) is a function of two per-vertex counters:
 * ``indeg_ext[v]`` — neighbours of ``v`` inside ``X ∪ candExts(X)`` (the
   node's *scope*).
 
-The from-scratch mask functions in :mod:`repro.quasiclique.pruning`
-recompute those counters at every search node with an
+Recomputing those counters at every search node takes an
 ``(adjacency[v] & scope).bit_count()`` sweep — one big-int AND plus a
 popcount *per vertex* per node, repeated to a fixpoint by the candidate
 filter.  This kernel instead *maintains* the counters across the
@@ -50,46 +49,40 @@ and thresholds stay below 2¹⁵).  Masking the complement with the
 answers "does any member/candidate fall short of the threshold?" in
 O(|V|/64) machine words:
 
-* ``filter_candidates_by_degree_masks`` → one compare per fixpoint
-  round plus one ``SPREAD`` subtraction per actually dropped candidate
-  (the oracle re-popcounts every candidate every round);
-* ``subtree_is_hopeless_masks``, the lookahead check and
-  ``satisfies_degree_condition_mask`` → one compare each.
+* the candidate degree filter → one compare per fixpoint round plus
+  one ``SPREAD`` subtraction per actually dropped candidate (a
+  from-scratch filter re-popcounts every candidate every round);
+* the hopelessness rule, the lookahead check and the degree condition
+  → one compare each.
 
-Counter invariants are asserted by the property suite against the
-from-scratch oracle at every expanded node (see :meth:`unpack` /
-:meth:`recompute_counters`).  The kernel changes *how* the counters are
+Counter invariants are asserted by the property suite against a
+from-scratch recomputation at every expanded node (through
+:meth:`SearchKernel.unpack`).  The kernel changes *how* the counters are
 produced, never *which* nodes are pruned: the candidate-filter fixpoint
 is unique and every check is a pure function of the counters, so the
-search visits the same tree and the mined output is byte-identical to
-the from-scratch oracle (enforced by the differential fuzz grid with
-``use_incremental_kernel=False`` as the reference).
+search visits the same tree as a from-scratch loop.  The test suite
+keeps such a loop (``tests/quasiclique/oracle.py``) and fuzzes the
+kernel against it for identical output and statistics.
 
 The 16-bit lanes bound the local id space at :data:`KERNEL_MAX_VERTICES`
 vertices per search — far above any working set the searches materialise
-dense local masks for; :class:`~repro.quasiclique.search.QuasiCliqueSearch`
-falls back to the oracle loop beyond it (or raises
-:class:`~repro.errors.KernelCapacityError` when the kernel was forced).
+dense local masks for; beyond it the kernel constructor raises
+:class:`~repro.errors.KernelCapacityError`.
 
-This module is also the home of the **kernel backend seam**: this class
+Two backends implement the same node/method surface: this class
 (``"bigint"``) and :class:`repro.quasiclique.kernel_numpy.NumpySearchKernel`
 (``"numpy"`` — the counter lanes as a numpy array, retirement and threshold
-rules as bulk vector ops) implement the same node/method surface, and
-:func:`make_search_kernel` picks one per search by explicit name, the
-``REPRO_KERNEL_BACKEND`` environment override, or the working-set-size
-heuristic.  A future native (C/Cython) backend slots in by implementing the
-same surface and claiming a name in :data:`KERNEL_BACKENDS` — callers only
-ever go through the factory.  Whatever the backend, the mined output is
-byte-identical: the big-int path doubles as the differential oracle the
-numpy backend is fuzzed against.
+rules as bulk vector ops).  :func:`make_search_kernel` picks one per search
+by working-set size alone.  Whatever the backend, the mined output and the
+search statistics are byte-identical; the big-int path doubles as the
+differential reference the numpy backend is fuzzed against.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import KernelCapacityError, ParameterError
+from repro.errors import KernelCapacityError
 from repro.quasiclique.definitions import QuasiCliqueParams
 from repro.quasiclique.pruning import MaskDistanceIndex
 
@@ -106,42 +99,24 @@ KERNEL_MAX_VERTICES = (1 << (LANE_BITS - 1)) - 1
 #: fewer machine words than one 16n-bit lane operation while k ≪ 16.
 _SMALL_SET = 8
 
-#: Below this working-set size a γ ≥ 0.5 search keeps the from-scratch
-#: oracle under automatic kernel selection: its masks span at most a few
-#: machine words, so the counter vectors cannot beat them and the
-#: kernel's per-search setup (the spread-neighbourhood table) would
-#: dominate the many small searches SCPM issues.  γ < 0.5 searches — no
-#: usable diameter bound, fat candidate sets — always profit.
-KERNEL_AUTO_MIN_VERTICES = 256
-
-#: Kernel backend names accepted by :func:`make_search_kernel`,
-#: ``SCPMParams.kernel_backend`` and the ``--kernel-backend`` CLI flag.
+#: Backend labels reported in :class:`~repro.quasiclique.search.SearchStats`
+#: and tallied by ``MiningCounters.kernel_backends``.
 BIGINT_BACKEND = "bigint"
 NUMPY_BACKEND = "numpy"
-KERNEL_BACKENDS = ("auto", BIGINT_BACKEND, NUMPY_BACKEND)
-
-#: Environment override consulted by ``"auto"`` backend resolution —
-#: set to ``bigint`` or ``numpy`` to force a backend without touching
-#: parameters (mirrors ``REPRO_FUZZ_SEED``'s role in the fuzz suites).
-KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
 #: Working sets at or below this size keep ``uint8`` counter lanes on the
 #: numpy backend: counters never exceed n-1 ≤ 126, comfortably inside the
 #: dtype, and the arrays are half the width of ``uint16``.
 NUMPY_UINT8_MAX_VERTICES = 127
 
-#: ``uint16`` lanes mirror the big-int kernel's 16-bit lane bound so both
-#: backends refuse the same working sets and auto-selection needs one check.
-NUMPY_UINT16_MAX_VERTICES = KERNEL_MAX_VERTICES
-
-#: Below this working-set size ``"auto"`` keeps the big-int backend even
-#: when numpy is importable: per-call numpy dispatch overhead (~1 µs per
-#: array op, and a few dozen ops per node) beats the few-machine-word
-#: big-int lane arithmetic until the counter vectors are wide.  Measured
-#: on planted-community coverage searches the crossover sits around
+#: Below this working-set size :func:`make_search_kernel` keeps the
+#: big-int backend: per-call numpy dispatch overhead (~1 µs per array op,
+#: and a few dozen ops per node) beats the few-machine-word big-int lane
+#: arithmetic until the counter vectors are wide.  Measured on
+#: planted-community coverage searches the crossover sits around
 #: 1 000–1 200 working vertices (0.5× at n=300, 1.1× at n=1500, 2.6× at
-#: n=3000), so the threshold is set just below it.  Mirrors the PR 5
-#: kernel/oracle heuristic (:data:`KERNEL_AUTO_MIN_VERTICES`).
+#: n=3000), so the threshold is set just below it.  Tests and benchmarks
+#: force a backend by patching this value (forked workers inherit it).
 NUMPY_AUTO_MIN_VERTICES = 1024
 
 #: ``_SPREAD_BYTES[b]`` is byte value ``b`` expanded to eight 16-bit
@@ -186,10 +161,10 @@ class KernelNode:
     """One search-tree node plus its incremental counter vectors.
 
     ``members`` is the extension path as a tuple of local ids,
-    ``members_mask``/``candidates`` are masks in the same local id space
-    (exactly the fields of the historical ``_Node``).  ``ext_vec`` is
-    the lane-packed counter vector and ``members_high`` / ``cand_high``
-    the matching lane-top-bit masks described in the module docstring.
+    ``members_mask``/``candidates`` are masks in the same local id space.
+    ``ext_vec`` is the lane-packed counter vector and ``members_high`` /
+    ``cand_high`` the matching lane-top-bit masks described in the module
+    docstring.
     All five are plain ints — node state is immutable values, shared
     freely between relatives.
     """
@@ -229,11 +204,11 @@ class SearchKernel:
     counts the individual per-vertex counter changes the vector
     operations perform — one per neighbour lane touched).
 
-    ``debug_hook`` is a class-level test seam: when set to a callable it
-    is invoked as ``debug_hook(kernel, node)`` after every
-    :meth:`restrict`, at which point the counters of every in-scope
-    vertex must equal the from-scratch recomputation
-    (:meth:`recompute_counters`).  It is ``None`` in production.
+    The rule methods are written once here; a backend subclass (the
+    numpy kernel) overrides only the lane representation —
+    :meth:`_build_lanes`, :meth:`root`, :meth:`children`,
+    :meth:`_remove`, :meth:`unpack` and the three threshold compares
+    :meth:`_failing`, :meth:`_members_short` and :meth:`_scope_short`.
     """
 
     __slots__ = (
@@ -248,14 +223,8 @@ class SearchKernel:
         "_required_vecs",
     )
 
-    #: Test seam — see class docstring.  Class-level so the property suite
-    #: can observe every kernel a search builds without threading a
-    #: parameter through the public API.  The numpy backend consults the
-    #: same attribute, so one hook observes every backend.
-    debug_hook: Optional[Callable[["SearchKernel", KernelNode], None]] = None
-
-    #: Backend identity reported in stats/counters — the name from
-    #: :data:`KERNEL_BACKENDS` plus the lane representation.
+    #: Backend identity reported in stats/counters — the backend label
+    #: plus the lane representation.
     backend_label = BIGINT_BACKEND
     dtype_name = "int"
 
@@ -268,7 +237,7 @@ class SearchKernel:
     ) -> None:
         n = len(adjacency)
         if n > KERNEL_MAX_VERTICES:
-            raise KernelCapacityError(n, KERNEL_MAX_VERTICES, BIGINT_BACKEND)
+            raise KernelCapacityError(n, KERNEL_MAX_VERTICES, self.backend_label)
         self.adjacency = adjacency
         self.params = params
         self.distance_index = distance_index
@@ -278,18 +247,49 @@ class SearchKernel:
         self._thresholds = threshold_table(
             params, max(n + 1, params.min_size)
         )
+        self._build_lanes()
+
+    # ------------------------------------------------------------------
+    # lane representation — what a backend overrides
+    # ------------------------------------------------------------------
+    def _build_lanes(self) -> None:
+        """Precompute the spread-neighbourhood table and lane masks."""
+        adjacency = self.adjacency
         self._spread = [spread_lanes(mask) for mask in adjacency]
-        self._ones = spread_lanes((1 << n) - 1)
+        self._ones = spread_lanes((1 << len(adjacency)) - 1)
         self._high = self._ones << (LANE_BITS - 1)
         self._required_vecs: Dict[int, int] = {}
 
-    def _required_vec(self, required: int) -> int:
-        """``required`` replicated into every lane (cached per value)."""
-        vec = self._required_vecs.get(required)
-        if vec is None:
-            vec = required * self._ones
-            self._required_vecs[required] = vec
-        return vec
+    def _kept_high(self, node: KernelNode, required: int) -> int:
+        """Lane top bits set exactly where ``indeg_ext ≥ required``."""
+        required_vec = self._required_vecs.get(required)
+        if required_vec is None:
+            required_vec = required * self._ones
+            self._required_vecs[required] = required_vec
+        return (node.ext_vec | self._high) - required_vec
+
+    def _failing(self, node: KernelNode, candidates: int, required: int) -> int:
+        """Mask of the ``candidates`` whose ``indeg_ext`` is below ``required``.
+
+        ``node.cand_high`` tracks exactly ``candidates``, so this is one
+        SWAR compare.
+        """
+        failing_high = node.cand_high & ~self._kept_high(node, required)
+        dropped = 0
+        while failing_high:
+            low = failing_high & -failing_high
+            failing_high ^= low
+            dropped |= 1 << ((low.bit_length() - 1) >> 4)
+        return dropped
+
+    def _members_short(self, node: KernelNode, required: int) -> bool:
+        """Does some member's ``indeg_ext`` fall below ``required``?"""
+        return bool(node.members_high & ~self._kept_high(node, required))
+
+    def _scope_short(self, node: KernelNode, required: int) -> bool:
+        """Does some member's or candidate's ``indeg_ext`` fall below ``required``?"""
+        scope_high = node.members_high | node.cand_high
+        return bool(scope_high & ~self._kept_high(node, required))
 
     # ------------------------------------------------------------------
     # node construction
@@ -356,16 +356,16 @@ class SearchKernel:
         return children
 
     # ------------------------------------------------------------------
-    # pruning rules (counter-vector forms of repro.quasiclique.pruning)
+    # pruning rules (Sections 3.2.1–3.2.3 on the counter vectors)
     # ------------------------------------------------------------------
     def restrict(self, node: KernelNode) -> None:
         """Apply the candidate-level pruning rules to ``node`` in place.
 
-        Counter twin of :func:`repro.quasiclique.pruning.restrict_candidates_masks`:
-        first the diameter rule, then the degree filter — the same unique
-        fixpoint.  Each fixpoint round is **one** SWAR compare exposing
-        every failing candidate at once; only actually dropped candidates
-        cost a ``SPREAD`` subtraction.  Only the *newest* member
+        First the diameter rule, then the degree filter: a candidate ``u``
+        must keep ``|N(u) ∩ (X ∪ cand)| ≥ ceil(γ(max(min_size, |X|+1)-1))``,
+        applied to its unique fixpoint.  Each fixpoint round is **one**
+        SWAR compare exposing every failing candidate at once; only
+        actually dropped candidates cost a ``SPREAD`` subtraction.  Only the *newest* member
         contributes a fresh distance constraint: the node's candidates are
         a subset of the parent's already-restricted candidates, so the
         older members' constraints are already satisfied.
@@ -383,8 +383,6 @@ class SearchKernel:
                 required = self._thresholds[
                     max(self.params.min_size, len(node.members) + 1)
                 ]
-                required_vec = None
-                high = self._high
                 adjacency = self.adjacency
                 members_mask = node.members_mask
                 while True:
@@ -400,14 +398,7 @@ class SearchKernel:
                             if (adjacency[c] & scope).bit_count() < required:
                                 dropped |= low
                     else:
-                        if required_vec is None:
-                            required_vec = self._required_vec(required)
-                        kept_high = (node.ext_vec | high) - required_vec
-                        failing_high = node.cand_high & ~kept_high
-                        while failing_high:
-                            low = failing_high & -failing_high
-                            failing_high ^= low
-                            dropped |= 1 << ((low.bit_length() - 1) >> 4)
+                        dropped = self._failing(node, candidates, required)
                     if not dropped:
                         break
                     self._remove(node, dropped)
@@ -415,9 +406,6 @@ class SearchKernel:
                     if not candidates:
                         break
             node.candidates = candidates
-        hook = SearchKernel.debug_hook
-        if hook is not None:
-            hook(self, node)
 
     def _remove(self, node: KernelNode, dropped: int) -> None:
         """Retire a candidate mask from the node's scope.
@@ -444,11 +432,14 @@ class SearchKernel:
         self.stats.counter_updates += updates
 
     def is_hopeless(self, node: KernelNode) -> bool:
-        """Counter twin of :func:`subtree_is_hopeless_masks`.
+        """Can no satisfying set exist in this node's subtree?
 
-        One SWAR compare over the member lanes — except for very small
-        member sets, where |X| masked popcounts touch fewer machine words
-        than a full-width lane operation (lanes widen the vector 16×).
+        True when ``X ∪ cand`` is smaller than ``min_size`` or some member
+        of ``X`` cannot reach the degree requirement of the smallest
+        feasible final size inside ``X ∪ cand``.  One SWAR compare over
+        the member lanes — except for very small member sets, where |X|
+        masked popcounts touch fewer machine words than a full-width lane
+        operation (lanes widen the vector 16×).
         """
         params = self.params
         members = node.members
@@ -465,8 +456,7 @@ class SearchKernel:
                 if (adjacency[member] & scope).bit_count() < required:
                     return True
             return False
-        kept_high = (node.ext_vec | self._high) - self._required_vec(required)
-        return bool(node.members_high & ~kept_high)
+        return self._members_short(node, required)
 
     def union_satisfies(self, node: KernelNode) -> bool:
         """Lookahead: does ``X ∪ candExts(X)`` meet the degree condition?
@@ -491,8 +481,7 @@ class SearchKernel:
                 if (adjacency[low.bit_length() - 1] & scope).bit_count() < required:
                     return False
             return True
-        kept_high = (node.ext_vec | self._high) - self._required_vec(required)
-        return not (node.members_high | node.cand_high) & ~kept_high
+        return not self._scope_short(node, required)
 
     def members_satisfy(self, node: KernelNode) -> bool:
         """Does ``X`` itself meet the γ degree/size condition?
@@ -514,24 +503,13 @@ class SearchKernel:
                 return False
         return True
 
-    # ------------------------------------------------------------------
-    # oracle recomputation (test seam)
-    # ------------------------------------------------------------------
-    def recompute_counters(self, node: KernelNode) -> List[int]:
-        """From-scratch ``indeg_ext`` for every vertex of the working graph.
-
-        The vector invariant covers every vertex, in or out of scope, so
-        the property suite compares the full table against
-        :meth:`unpack` at every expanded node.
-        """
-        adjacency = self.adjacency
-        scope = node.members_mask | node.candidates
-        return [
-            (adjacency[v] & scope).bit_count() for v in range(len(adjacency))
-        ]
-
     def unpack(self, node: KernelNode) -> List[int]:
-        """The node's live ``indeg_ext`` lane values, one per vertex."""
+        """The node's live ``indeg_ext`` lane values, one per vertex.
+
+        The vector invariant covers every vertex, in or out of scope; the
+        property suite compares this table with a from-scratch
+        recomputation at every expanded node.
+        """
         ext_vec = node.ext_vec
         mask = (1 << LANE_BITS) - 1
         return [
@@ -540,98 +518,37 @@ class SearchKernel:
         ]
 
 
-# ----------------------------------------------------------------------
-# backend seam
-# ----------------------------------------------------------------------
-def numpy_available() -> bool:
-    """Whether the numpy kernel backend can be constructed here."""
-    try:
-        from repro.quasiclique import kernel_numpy
-    except Exception:  # pragma: no cover - import guard
-        return False
-    return kernel_numpy.HAVE_NUMPY
-
-
-def resolve_kernel_backend(backend: str, num_vertices: int) -> str:
-    """Resolve a backend request to ``"bigint"`` or ``"numpy"``.
-
-    ``"auto"`` consults the :data:`KERNEL_BACKEND_ENV` environment variable
-    first (``bigint``/``numpy`` force that backend, ``auto``/unset continue),
-    then picks by working-set size: numpy once the counter vectors are wide
-    enough that bulk ops beat big-int lane arithmetic
-    (≥ :data:`NUMPY_AUTO_MIN_VERTICES` vertices, and within the numpy lane
-    capacity), big-int otherwise.  Unknown names raise
-    :class:`repro.errors.ParameterError`.
-    """
-    if backend not in KERNEL_BACKENDS:
-        raise ParameterError(
-            f"kernel backend must be one of {KERNEL_BACKENDS}, got {backend!r}"
-        )
-    if backend == "auto":
-        env = os.environ.get(KERNEL_BACKEND_ENV, "").strip()
-        if env and env != "auto":
-            if env not in KERNEL_BACKENDS:
-                raise ParameterError(
-                    f"{KERNEL_BACKEND_ENV} must be one of {KERNEL_BACKENDS}, "
-                    f"got {env!r}"
-                )
-            backend = env
-    if backend != "auto":
-        return backend
-    if (
-        NUMPY_AUTO_MIN_VERTICES <= num_vertices <= NUMPY_UINT16_MAX_VERTICES
-        and numpy_available()
-    ):
-        return NUMPY_BACKEND
-    return BIGINT_BACKEND
-
-
 def make_search_kernel(
     adjacency: Sequence[int],
     params: QuasiCliqueParams,
     distance_index: Optional[MaskDistanceIndex],
     stats,
-    backend: str = "auto",
 ):
-    """Construct the search kernel the resolved backend names.
+    """Construct the search kernel for one working set.
 
-    The single construction point for every backend — the search loop and
-    any later native extension meet here, so callers never name a concrete
-    kernel class.  Raises :class:`~repro.errors.KernelCapacityError` when
-    the working set exceeds the resolved backend's lane capacity and
-    :class:`~repro.errors.ParameterError` for unknown backend names (or an
-    explicit ``"numpy"`` request without numpy importable).
+    The numpy backend once the counter vectors are wide enough that bulk
+    ops beat big-int lane arithmetic (≥ :data:`NUMPY_AUTO_MIN_VERTICES`
+    vertices), the big-int backend otherwise.  Both raise
+    :class:`~repro.errors.KernelCapacityError` beyond
+    :data:`KERNEL_MAX_VERTICES` vertices.
     """
-    resolved = resolve_kernel_backend(backend, len(adjacency))
-    if resolved == NUMPY_BACKEND:
-        from repro.quasiclique import kernel_numpy
+    if len(adjacency) >= NUMPY_AUTO_MIN_VERTICES:
+        from repro.quasiclique.kernel_numpy import NumpySearchKernel
 
-        if not kernel_numpy.HAVE_NUMPY:
-            raise ParameterError(
-                "kernel backend 'numpy' requested but numpy is not importable"
-            )
-        return kernel_numpy.NumpySearchKernel(
-            adjacency, params, distance_index, stats
-        )
+        return NumpySearchKernel(adjacency, params, distance_index, stats)
     return SearchKernel(adjacency, params, distance_index, stats)
 
 
 __all__ = [
     "BIGINT_BACKEND",
-    "KERNEL_AUTO_MIN_VERTICES",
-    "KERNEL_BACKENDS",
-    "KERNEL_BACKEND_ENV",
     "KERNEL_MAX_VERTICES",
     "KernelNode",
     "LANE_BITS",
     "NUMPY_AUTO_MIN_VERTICES",
     "NUMPY_BACKEND",
     "NUMPY_UINT8_MAX_VERTICES",
-    "NUMPY_UINT16_MAX_VERTICES",
     "SearchKernel",
     "make_search_kernel",
-    "numpy_available",
-    "resolve_kernel_backend",
     "spread_lanes",
     "threshold_table",
 ]

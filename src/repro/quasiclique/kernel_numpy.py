@@ -24,13 +24,14 @@ headroom), larger ones ``uint16`` up to the same 32767-vertex bound as the
 big-int lanes — both backends refuse exactly the same working sets, with a
 typed :class:`~repro.errors.KernelCapacityError`.
 
-The method surface, node life cycle, traversal order, counter accounting
-and pruning fixpoints replicate :class:`SearchKernel` exactly — the big-int
-path is the differential oracle, and the fuzz grids assert byte-identical
-mining output and search statistics across backends.  The test seam is
-shared too: ``SearchKernel.debug_hook`` (when set) observes this backend's
-nodes after every :meth:`restrict`, and :meth:`unpack` /
-:meth:`recompute_counters` provide the same invariant probes.
+:class:`NumpySearchKernel` subclasses :class:`SearchKernel`: the rule
+skeleton (restriction fixpoint, small-set short-cuts, member check) is
+shared, and only the lane representation is overridden, so node life
+cycle, traversal order, counter accounting and pruning fixpoints are the
+big-int kernel's by construction.  The big-int path is the differential
+reference, and the fuzz grids assert byte-identical mining output and
+search statistics across backends; :meth:`NumpySearchKernel.unpack`
+serves the same per-node invariant probe.
 
 Node state differs from the big-int node only in representation:
 ``ext_vec`` is an ``(n,)`` array in the selected dtype; everything else
@@ -45,35 +46,22 @@ the batch-computed sweep matrix or (the first child) aliases its parent's
 vector, which is dead by then — the same zero-copy sharing discipline as
 the immutable big-int lane vectors.
 
-Import of numpy is guarded (:data:`HAVE_NUMPY`): the module always
-imports, and :func:`repro.quasiclique.kernel.make_search_kernel` falls
-back to (or refuses with a typed error, for explicit requests) the big-int
-backend when numpy is missing.
+:func:`repro.quasiclique.kernel.make_search_kernel` selects this backend
+for working sets of at least
+:data:`~repro.quasiclique.kernel.NUMPY_AUTO_MIN_VERTICES` vertices.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as np
+import numpy as np
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-from repro.errors import KernelCapacityError
-from repro.quasiclique.definitions import QuasiCliqueParams
 from repro.quasiclique.kernel import (
     NUMPY_BACKEND,
     NUMPY_UINT8_MAX_VERTICES,
-    NUMPY_UINT16_MAX_VERTICES,
     SearchKernel,
-    _SMALL_SET,
-    threshold_table,
 )
-from repro.quasiclique.pruning import MaskDistanceIndex
 
 #: Sibling batches with at most this many *cells* (siblings × lanes) use
 #: ``np.cumsum`` for the retirement sweep; larger batches run an explicit
@@ -107,48 +95,26 @@ class NumpyKernelNode:
         self.ext_vec = ext_vec
 
 
-class NumpySearchKernel:
-    """Vectorized twin of :class:`~repro.quasiclique.kernel.SearchKernel`.
+class NumpySearchKernel(SearchKernel):
+    """Vectorized :class:`~repro.quasiclique.kernel.SearchKernel`.
 
     Same constructor signature, same method surface, same statistics —
-    see the module docstring for the representation differences.  One
-    kernel serves one search; ``stats.counter_updates`` accounts one unit
-    per neighbour lane touched, exactly like the big-int backend, so the
-    instrumentation the benchmarks report stays comparable.
+    see the module docstring for the representation differences.  The
+    search-rule skeleton (restriction fixpoint, small-set short-cuts,
+    member check) is inherited; this class overrides only the lane
+    representation: the lane table, node construction, vertex retirement
+    and the three threshold compares.  ``stats.counter_updates`` accounts
+    one unit per neighbour lane touched, exactly like the big-int backend.
     """
 
-    __slots__ = (
-        "adjacency",
-        "params",
-        "distance_index",
-        "stats",
-        "dtype_name",
-        "_thresholds",
-        "_dtype",
-        "_n",
-        "_spread",
-        "_degrees",
-        "_root_ext",
-    )
+    __slots__ = ("dtype_name", "_dtype", "_n", "_degrees", "_root_ext")
 
     backend_label = NUMPY_BACKEND
 
-    def __init__(
-        self,
-        adjacency: Sequence[int],
-        params: QuasiCliqueParams,
-        distance_index: Optional[MaskDistanceIndex],
-        stats,
-    ) -> None:
-        n = len(adjacency)
-        if n > NUMPY_UINT16_MAX_VERTICES:
-            raise KernelCapacityError(n, NUMPY_UINT16_MAX_VERTICES, NUMPY_BACKEND)
-        self.adjacency = adjacency
-        self.params = params
-        self.distance_index = distance_index
-        self.stats = stats
-        self._n = n
-        self._thresholds = threshold_table(params, max(n + 1, params.min_size))
+    def _build_lanes(self) -> None:
+        """The 0/1 adjacency matrix in the lane dtype, plus root degrees."""
+        adjacency = self.adjacency
+        n = self._n = len(adjacency)
         if n <= NUMPY_UINT8_MAX_VERTICES:
             self._dtype = np.uint8
             self.dtype_name = "uint8"
@@ -252,60 +218,21 @@ class NumpySearchKernel:
         return children
 
     # ------------------------------------------------------------------
-    # pruning rules (vectorized forms — same fixpoints as the oracle)
+    # threshold compares and retirement (vectorized forms)
     # ------------------------------------------------------------------
-    def restrict(self, node: NumpyKernelNode) -> None:
-        """Apply the candidate-level pruning rules to ``node`` in place.
+    def _failing(self, node: NumpyKernelNode, candidates: int, required: int) -> int:
+        """Mask of the ``candidates`` whose ``indeg_ext`` is below ``required``."""
+        failing = self._mask_to_bool(candidates) & (node.ext_vec < required)
+        return self._bool_to_mask(failing) if failing.any() else 0
 
-        Same structure as the big-int :meth:`SearchKernel.restrict` —
-        diameter rule, then the unique degree-filter fixpoint.  Each
-        fixpoint round is one vectorized compare + mask over the candidate
-        lanes; tiny candidate sets keep the identical masked-popcount
-        short-cut (it is a pure function of the same counters).
-        """
-        candidates = node.candidates
-        if candidates:
-            distance_index = self.distance_index
-            if distance_index is not None and distance_index.enabled and node.members:
-                allowed = candidates & distance_index.reachable(node.members[-1])
-                dropped = candidates & ~allowed
-                if dropped:
-                    self._remove(node, dropped)
-                    candidates = allowed
-            if candidates:
-                required = self._thresholds[
-                    max(self.params.min_size, len(node.members) + 1)
-                ]
-                adjacency = self.adjacency
-                members_mask = node.members_mask
-                while True:
-                    dropped = 0
-                    if candidates.bit_count() <= _SMALL_SET:
-                        # few candidates: masked popcounts beat a lane op
-                        scope = members_mask | candidates
-                        scan = candidates
-                        while scan:
-                            low = scan & -scan
-                            scan ^= low
-                            c = low.bit_length() - 1
-                            if (adjacency[c] & scope).bit_count() < required:
-                                dropped |= low
-                    else:
-                        failing = self._mask_to_bool(candidates) & (
-                            node.ext_vec < required
-                        )
-                        if failing.any():
-                            dropped = self._bool_to_mask(failing)
-                    if not dropped:
-                        break
-                    self._remove(node, dropped)
-                    candidates &= ~dropped
-                    if not candidates:
-                        break
-            node.candidates = candidates
-        hook = SearchKernel.debug_hook
-        if hook is not None:
-            hook(self, node)
+    def _members_short(self, node: NumpyKernelNode, required: int) -> bool:
+        """Does some member's ``indeg_ext`` fall below ``required``?"""
+        return bool((node.ext_vec[list(node.members)] < required).any())
+
+    def _scope_short(self, node: NumpyKernelNode, required: int) -> bool:
+        """Does some member's or candidate's ``indeg_ext`` fall below ``required``?"""
+        scope_bool = self._mask_to_bool(node.members_mask | node.candidates)
+        return bool(((node.ext_vec < required) & scope_bool).any())
 
     def _remove(self, node: NumpyKernelNode, dropped: int) -> None:
         """Retire a candidate mask from the node's scope.
@@ -329,78 +256,9 @@ class NumpySearchKernel:
         node.ext_vec = node.ext_vec - total
         self.stats.counter_updates += updates
 
-    def is_hopeless(self, node: NumpyKernelNode) -> bool:
-        """Vectorized twin of :meth:`SearchKernel.is_hopeless`."""
-        params = self.params
-        members = node.members
-        member_count = len(members)
-        if not member_count:
-            return node.candidates.bit_count() < params.min_size
-        if member_count + node.candidates.bit_count() < params.min_size:
-            return True
-        required = self._thresholds[max(params.min_size, member_count)]
-        if member_count <= _SMALL_SET:
-            adjacency = self.adjacency
-            scope = node.members_mask | node.candidates
-            for member in members:
-                if (adjacency[member] & scope).bit_count() < required:
-                    return True
-            return False
-        return bool((node.ext_vec[list(members)] < required).any())
-
-    def union_satisfies(self, node: NumpyKernelNode) -> bool:
-        """Lookahead: does ``X ∪ candExts(X)`` meet the degree condition?"""
-        candidate_count = node.candidates.bit_count()
-        size = len(node.members) + candidate_count
-        if size < self.params.min_size:
-            return False
-        required = self._thresholds[size]
-        if size <= _SMALL_SET:
-            adjacency = self.adjacency
-            scope = node.members_mask | node.candidates
-            scan = scope
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                if (adjacency[low.bit_length() - 1] & scope).bit_count() < required:
-                    return False
-            return True
-        scope_bool = self._mask_to_bool(node.members_mask | node.candidates)
-        return not bool(((node.ext_vec < required) & scope_bool).any())
-
-    def members_satisfy(self, node: NumpyKernelNode) -> bool:
-        """Does ``X`` itself meet the γ degree/size condition?
-
-        Identical to the big-int backend: |X| is small at the nodes that
-        get this far, so per-member masked popcounts on the int adjacency
-        beat any vector op.
-        """
-        members = node.members
-        size = len(members)
-        if size < self.params.min_size:
-            return False
-        required = self._thresholds[size]
-        adjacency = self.adjacency
-        members_mask = node.members_mask
-        for member in members:
-            if (adjacency[member] & members_mask).bit_count() < required:
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # oracle recomputation (test seam)
-    # ------------------------------------------------------------------
-    def recompute_counters(self, node: NumpyKernelNode) -> List[int]:
-        """From-scratch ``indeg_ext`` for every vertex of the working graph."""
-        adjacency = self.adjacency
-        scope = node.members_mask | node.candidates
-        return [
-            (adjacency[v] & scope).bit_count() for v in range(len(adjacency))
-        ]
-
     def unpack(self, node: NumpyKernelNode) -> List[int]:
         """The node's live ``indeg_ext`` lane values, one per vertex."""
         return node.ext_vec.tolist()
 
 
-__all__ = ["HAVE_NUMPY", "NumpyKernelNode", "NumpySearchKernel"]
+__all__ = ["NumpyKernelNode", "NumpySearchKernel"]

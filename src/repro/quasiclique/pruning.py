@@ -1,205 +1,47 @@
-"""Pruning rules for the quasi-clique set-enumeration search.
+"""Working-set pruning for the quasi-clique set-enumeration search.
 
 The rules follow Section 3.2.1/3.2.2 of the paper and the Quick algorithm
-(Liu & Wong, PKDD 2008) it builds on.  Every rule removes only vertices or
-subtrees that provably cannot contribute a vertex set satisfying the γ
-degree condition with size ≥ ``min_size``; soundness of each rule is covered
-by property-based tests against a brute-force reference miner.
-
-Two groups of rules are implemented (the paper's terminology):
+(Liu & Wong, PKDD 2008) it builds on.  This module holds the two that run
+*before* or *beside* the per-node counter rules of
+:mod:`repro.quasiclique.kernel`:
 
 * **Vertex pruning** — iteratively drop vertices whose degree in the working
   graph is below ``ceil(γ (min_size - 1))``; they cannot belong to any
   quasi-clique (their degree inside any candidate set is even smaller).
-* **Candidate quasi-clique pruning** — at a search node ``(X, cand)``,
-  restrict ``cand`` and decide whether the whole subtree can be discarded,
-  based on degree bounds within ``X ∪ cand`` and on the diameter bound
-  implied by γ.
+  :func:`prune_low_degree_masks` runs it over dense local masks,
+  :func:`prune_low_degree_sparse` over the sparse engine's chunked sets.
+* **Diameter bound** — for γ ≥ 0.5 every pair of vertices of a
+  quasi-clique is at distance at most 2 (at most 1 for γ = 1);
+  :class:`MaskDistanceIndex` serves the closed distance-bound
+  neighbourhoods the kernel intersects candidate sets with.
+
+Every rule removes only vertices that provably cannot contribute a vertex
+set satisfying the γ degree condition with size ≥ ``min_size``; soundness
+is covered by property-based tests against a brute-force reference miner.
+The readable set-based specification of every rule lives with the test
+suite's from-scratch search loop (``tests/quasiclique/oracle.py``).
 """
 
 from __future__ import annotations
 
-from typing import (
-    AbstractSet,
-    Collection,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Collection, Dict, List, Sequence, Set, Tuple
 
 from repro.graph.vertexset import iter_bits
 from repro.quasiclique.definitions import QuasiCliqueParams
-
-Vertex = Hashable
-Adjacency = Dict[Vertex, Set[Vertex]]
-# Bitmask adjacency: ``masks[i]`` is the neighbour mask of dense vertex id i.
-MaskAdjacency = Sequence[int]
-
-
-def prune_low_degree_vertices(
-    adjacency: Adjacency, params: QuasiCliqueParams
-) -> Adjacency:
-    """Iteratively remove vertices with degree < ``ceil(γ(min_size-1))``.
-
-    Returns a new adjacency mapping restricted to the surviving vertices.
-    No member of any vertex set that satisfies the degree condition is ever
-    removed: all its neighbours inside the set survive with it, so its
-    working degree never drops below the threshold.
-    """
-    threshold = params.base_degree_threshold
-    working: Adjacency = {v: set(neighbors) for v, neighbors in adjacency.items()}
-    queue: List[Vertex] = [v for v, neighbors in working.items() if len(neighbors) < threshold]
-    removed: Set[Vertex] = set(queue)
-    while queue:
-        vertex = queue.pop()
-        for neighbor in working[vertex]:
-            neighbors = working[neighbor]
-            neighbors.discard(vertex)
-            if neighbor not in removed and len(neighbors) < threshold:
-                removed.add(neighbor)
-                queue.append(neighbor)
-        working[vertex] = set()
-    return {v: neighbors for v, neighbors in working.items() if v not in removed}
-
-
-class DistanceIndex:
-    """Lazy distance-≤ 2 neighbourhood index over a working adjacency.
-
-    For γ ≥ 0.5 every pair of vertices of a quasi-clique is at distance at
-    most 2 (at most 1 for γ = 1), so a candidate extension must lie inside
-    the (closed) distance-bound neighbourhood of every vertex already in X.
-    """
-
-    def __init__(self, adjacency: Adjacency, distance_bound: int) -> None:
-        self._adjacency = adjacency
-        self._distance_bound = distance_bound
-        self._cache: Dict[Vertex, Set[Vertex]] = {}
-
-    @property
-    def enabled(self) -> bool:
-        """``True`` when the γ value yields a usable distance bound."""
-        return self._distance_bound in (1, 2)
-
-    def reachable(self, vertex: Vertex) -> Set[Vertex]:
-        """Closed neighbourhood of ``vertex`` within the distance bound."""
-        cached = self._cache.get(vertex)
-        if cached is not None:
-            return cached
-        neighbors = self._adjacency[vertex]
-        if self._distance_bound == 1:
-            result = set(neighbors)
-        else:
-            result = set(neighbors)
-            for neighbor in neighbors:
-                result |= self._adjacency[neighbor]
-        result.add(vertex)
-        self._cache[vertex] = result
-        return result
-
-    def allowed_extensions(
-        self, members: Iterable[Vertex], candidates: AbstractSet[Vertex]
-    ) -> Set[Vertex]:
-        """Return the candidates within the distance bound of every member."""
-        allowed = set(candidates)
-        for member in members:
-            allowed &= self.reachable(member)
-            if not allowed:
-                break
-        return allowed
-
-
-def filter_candidates_by_degree(
-    adjacency: Adjacency,
-    members: AbstractSet[Vertex],
-    candidates: Set[Vertex],
-    params: QuasiCliqueParams,
-) -> Set[Vertex]:
-    """Drop candidate extensions that cannot reach the degree requirement.
-
-    A candidate ``u`` added to any set ``Q`` in this subtree gives
-    ``|Q| ≥ max(min_size, |X| + 1)`` and ``deg_Q(u) ≤ |N(u) ∩ (X ∪ cand)|``,
-    so the latter must reach ``ceil(γ (max(min_size, |X|+1) - 1))``.
-    The filter is applied to a fixpoint because removing one candidate can
-    invalidate another.
-    """
-    required = params.degree_threshold(max(params.min_size, len(members) + 1))
-    remaining = set(candidates)
-    changed = True
-    while changed:
-        changed = False
-        scope = members | remaining
-        for candidate in list(remaining):
-            if len(adjacency[candidate] & scope) < required:
-                remaining.discard(candidate)
-                changed = True
-    return remaining
-
-
-def subtree_is_hopeless(
-    adjacency: Adjacency,
-    members: AbstractSet[Vertex],
-    candidates: AbstractSet[Vertex],
-    params: QuasiCliqueParams,
-) -> bool:
-    """Return ``True`` when no satisfying set exists in the subtree.
-
-    Checks that the subtree can still reach ``min_size`` and that every
-    vertex already in X can reach the degree requirement of the *smallest*
-    feasible final size using only vertices of ``X ∪ cand``.  Both are
-    necessary conditions for any satisfying superset of X inside the
-    subtree, so returning ``True`` never discards a valid quasi-clique.
-    """
-    if not members:
-        return len(candidates) < params.min_size
-    total = len(members) + len(candidates)
-    if total < params.min_size:
-        return True
-    required = params.degree_threshold(max(params.min_size, len(members)))
-    scope = members | candidates
-    for member in members:
-        if len(adjacency[member] & scope) < required:
-            return True
-    return False
-
-
-def restrict_candidates(
-    adjacency: Adjacency,
-    members: AbstractSet[Vertex],
-    candidates: Set[Vertex],
-    params: QuasiCliqueParams,
-    distance_index: Optional[DistanceIndex] = None,
-) -> Set[Vertex]:
-    """Apply every candidate-level pruning rule and return the reduced set."""
-    reduced = set(candidates)
-    if distance_index is not None and distance_index.enabled and members:
-        reduced = distance_index.allowed_extensions(members, reduced)
-    if reduced:
-        reduced = filter_candidates_by_degree(adjacency, members, reduced, params)
-    return reduced
-
-
-# ----------------------------------------------------------------------
-# bitmask twins — same rules over dense-id adjacency masks
-# ----------------------------------------------------------------------
-# The set-based functions above remain the readable specification (and the
-# unit-test surface); the functions below are what the search engine's inner
-# loop actually runs.  Vertex sets are int masks and a degree check is one
-# ``&`` plus one popcount.
 
 
 def prune_low_degree_masks(
     adjacency: Sequence[int], params: QuasiCliqueParams
 ) -> Tuple[int, List[int]]:
-    """Bitmask twin of :func:`prune_low_degree_vertices`.
+    """Iteratively remove vertices with degree < ``ceil(γ(min_size-1))``.
 
+    ``adjacency[i]`` is the neighbour mask of dense vertex id ``i``.
     Returns ``(alive_mask, masks)`` where ``alive_mask`` marks the surviving
     dense ids and ``masks`` is the adjacency restricted to the survivors
     (pruned entries are zeroed, not removed, so indexing stays dense).
+    No member of any vertex set that satisfies the degree condition is ever
+    removed: all its neighbours inside the set survive with it, so its
+    working degree never drops below the threshold.
     """
     threshold = params.base_degree_threshold
     working = list(adjacency)
@@ -224,7 +66,13 @@ def prune_low_degree_masks(
 
 
 class MaskDistanceIndex:
-    """Bitmask twin of :class:`DistanceIndex` (lazy, per-search cache)."""
+    """Lazy distance-bound neighbourhood index over dense adjacency masks.
+
+    A candidate extension must lie inside the closed distance-bound
+    neighbourhood of every vertex already in X; the search kernel
+    intersects each node's candidates with :meth:`reachable` of the
+    newest member.  Neighbourhoods are cached per search.
+    """
 
     __slots__ = ("_adjacency", "_distance_bound", "_cache")
 
@@ -252,62 +100,11 @@ class MaskDistanceIndex:
         self._cache[vertex] = result
         return result
 
-    def allowed_extensions(self, members: Iterable[int], candidates: int) -> int:
-        """Mask of candidates within the distance bound of every member."""
-        allowed = candidates
-        for member in members:
-            allowed &= self.reachable(member)
-            if not allowed:
-                break
-        return allowed
-
-
-def filter_candidates_by_degree_masks(
-    adjacency: Sequence[int],
-    members_mask: int,
-    candidates_mask: int,
-    params: QuasiCliqueParams,
-) -> int:
-    """Bitmask twin of :func:`filter_candidates_by_degree` (fixpoint)."""
-    required = params.degree_threshold(
-        max(params.min_size, members_mask.bit_count() + 1)
-    )
-    remaining = candidates_mask
-    changed = True
-    while changed:
-        changed = False
-        scope = members_mask | remaining
-        for candidate in iter_bits(remaining):
-            if (adjacency[candidate] & scope).bit_count() < required:
-                remaining &= ~(1 << candidate)
-                changed = True
-    return remaining
-
-
-def subtree_is_hopeless_masks(
-    adjacency: Sequence[int],
-    members_mask: int,
-    candidates_mask: int,
-    params: QuasiCliqueParams,
-) -> bool:
-    """Bitmask twin of :func:`subtree_is_hopeless`."""
-    member_count = members_mask.bit_count()
-    if not member_count:
-        return candidates_mask.bit_count() < params.min_size
-    if member_count + candidates_mask.bit_count() < params.min_size:
-        return True
-    required = params.degree_threshold(max(params.min_size, member_count))
-    scope = members_mask | candidates_mask
-    for member in iter_bits(members_mask):
-        if (adjacency[member] & scope).bit_count() < required:
-            return True
-    return False
-
 
 def prune_low_degree_sparse(
     adjacency: Dict[int, Collection[int]], threshold: int
 ) -> List[int]:
-    """Sparse twin of :func:`prune_low_degree_vertices` over chunked sets.
+    """Sparse twin of :func:`prune_low_degree_masks` over chunked sets.
 
     ``adjacency`` maps a dense vertex id to its neighbour set *already
     restricted to the working vertices* — any sized, iterable container
@@ -335,22 +132,3 @@ def prune_low_degree_sparse(
                 removed.add(neighbor)
                 queue.append(neighbor)
     return sorted(v for v in degrees if v not in removed)
-
-
-def restrict_candidates_masks(
-    adjacency: Sequence[int],
-    members: Sequence[int],
-    members_mask: int,
-    candidates_mask: int,
-    params: QuasiCliqueParams,
-    distance_index: Optional[MaskDistanceIndex] = None,
-) -> int:
-    """Bitmask twin of :func:`restrict_candidates`."""
-    reduced = candidates_mask
-    if distance_index is not None and distance_index.enabled and members:
-        reduced = distance_index.allowed_extensions(members, reduced)
-    if reduced:
-        reduced = filter_candidates_by_degree_masks(
-            adjacency, members_mask, reduced, params
-        )
-    return reduced

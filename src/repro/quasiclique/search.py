@@ -12,7 +12,11 @@ One engine drives the three tasks the paper needs:
 
 Candidates ``(X, candExts(X))`` are explored over a set-enumeration tree
 (Figure 2 of the paper).  A deque gives the BFS strategy, a stack the DFS
-strategy.  The pruning rules live in :mod:`repro.quasiclique.pruning`.
+strategy.  One loop, :meth:`QuasiCliqueSearch._run`, drives every mode: it
+evaluates the pruning rules of Sections 3.2.1–3.2.3 on the incremental
+degree counters of :mod:`repro.quasiclique.kernel`, which maintains them
+across the tree instead of recomputing them per node.  The global vertex
+pruning and the diameter bound live in :mod:`repro.quasiclique.pruning`.
 
 Internally the engine runs on the **bitset vertex-set engine**
 (:mod:`repro.graph.vertexset`): the working vertices are relabelled to dense
@@ -58,18 +62,8 @@ from repro.quasiclique.definitions import (
     gamma_of_mask,
     satisfies_degree_condition_mask,
 )
-from repro.quasiclique.kernel import (
-    KERNEL_AUTO_MIN_VERTICES,
-    KERNEL_MAX_VERTICES,
-    make_search_kernel,
-    resolve_kernel_backend,
-)
-from repro.quasiclique.pruning import (
-    MaskDistanceIndex,
-    prune_low_degree_masks,
-    restrict_candidates_masks,
-    subtree_is_hopeless_masks,
-)
+from repro.quasiclique.kernel import make_search_kernel
+from repro.quasiclique.pruning import MaskDistanceIndex, prune_low_degree_masks
 
 Vertex = Hashable
 VertexRestriction = Union[Iterable[Vertex], VertexBitset, None]
@@ -87,12 +81,11 @@ class SearchBudgetExceeded(RuntimeError):
 class SearchStats:
     """Counters describing one quasi-clique search run.
 
-    ``counter_updates`` counts the individual ``indeg_x``/``indeg_ext``
-    increments and decrements the incremental kernel performed (0 when the
-    search runs on the from-scratch oracle).  ``kernel_backend`` /
-    ``kernel_dtype`` name the kernel backend that drove the search (e.g.
-    ``"bigint"``/``"int"`` or ``"numpy"``/``"uint8"``; empty strings when
-    the search ran on the oracle loop).  ``memo_hits``/``memo_misses``
+    ``counter_updates`` counts the individual ``indeg_ext`` increments and
+    decrements the incremental kernel performed.  ``kernel_backend`` /
+    ``kernel_dtype`` name the kernel backend that drove the search
+    (``"bigint"``/``"int"`` or ``"numpy"``/``"uint8"``/``"uint16"``; every
+    search runs on one).  ``memo_hits``/``memo_misses``
     describe the :class:`~repro.quasiclique.memo.CoverageMemo` consultation
     that surrounded this search, when a caller such as
     :func:`repro.correlation.structural.structural_correlation_bitset`
@@ -117,30 +110,14 @@ class SearchStats:
     def kernel_backend_label(self) -> str:
         """Attribution label of the kernel that drove this search.
 
-        ``""`` for oracle-driven searches, ``"bigint"`` for the SWAR
-        kernel, ``"numpy(uint8)"``/``"numpy(uint16)"`` for the vectorised
-        one — the vocabulary of
+        ``"bigint"`` for the SWAR kernel, ``"numpy(uint8)"`` /
+        ``"numpy(uint16)"`` for the vectorised one (``""`` only on a
+        bare :class:`SearchStats` no search has filled) — the vocabulary of
         :attr:`repro.correlation.patterns.MiningCounters.kernel_backends`.
         """
-        if not self.kernel_backend:
-            return ""
         if self.kernel_dtype in ("", "int"):
             return self.kernel_backend
         return f"{self.kernel_backend}({self.kernel_dtype})"
-
-
-@dataclass
-class _Node:
-    """A search-tree node: the growing set X and its candidate extensions.
-
-    ``members`` keeps the extension path as a tuple of local ids (cheap
-    prefix sharing between siblings); ``members_mask`` and ``candidates``
-    are masks in the same local id space.
-    """
-
-    members: Tuple[int, ...]
-    members_mask: int
-    candidates: int
 
 
 class QuasiCliqueSearch:
@@ -172,34 +149,13 @@ class QuasiCliqueSearch:
         Vertex-set engine of the graph index (``"dense"``, ``"sparse"`` or
         ``"auto"``; see :mod:`repro.graph.engine`).  Either engine yields
         byte-identical results; only memory/speed trade-offs differ.
-    use_incremental_kernel:
-        ``None`` (default) picks automatically: the incremental-counter
-        kernel (:mod:`repro.quasiclique.kernel`) drives DFS searches in
-        the regimes where its lane vectors beat from-scratch masks —
-        every γ < 0.5 search (no usable diameter bound, fat candidate
-        sets) and big-working-set searches
-        (≥ :data:`~repro.quasiclique.kernel.KERNEL_AUTO_MIN_VERTICES`
-        vertices); everything else keeps the historical from-scratch
-        recomputation.  ``True`` forces the kernel (within its
-        :data:`~repro.quasiclique.kernel.KERNEL_MAX_VERTICES` lane
-        capacity), ``False`` forces the oracle — retained as the
-        differential reference the kernel is fuzzed against.  Every
-        choice produces byte-identical results and expansion counts.
-    kernel_backend:
-        Kernel *implementation* once a kernel is engaged: ``"bigint"``
-        (SWAR lanes in one big int), ``"numpy"`` (lanes in a numpy
-        array, bulk vector ops) or ``"auto"`` (default — resolved per
-        search by :func:`repro.quasiclique.kernel.resolve_kernel_backend`:
-        the ``REPRO_KERNEL_BACKEND`` environment override, then a
-        working-set-size heuristic).  Orthogonal to
-        ``use_incremental_kernel``, which decides *whether* a kernel
-        runs at all; every backend produces byte-identical results and
-        statistics.  When a kernel is forced
-        (``use_incremental_kernel=True``) onto a working set beyond the
-        resolved backend's lane capacity, construction raises a typed
-        :class:`~repro.errors.KernelCapacityError` instead of silently
-        falling back; automatic selection still falls back to the
-        oracle loop.
+
+    Every search runs on the incremental-counter kernel
+    (:func:`repro.quasiclique.kernel.make_search_kernel` picks its
+    counter-lane backend by working-set size).  A working set beyond the
+    kernel's :data:`~repro.quasiclique.kernel.KERNEL_MAX_VERTICES` lane
+    capacity makes construction raise
+    :class:`~repro.errors.KernelCapacityError`.
     """
 
     def __init__(
@@ -211,14 +167,9 @@ class QuasiCliqueSearch:
         use_distance_pruning: bool = True,
         node_budget: Optional[int] = None,
         engine: str = "auto",
-        use_incremental_kernel: Optional[bool] = None,
-        kernel_backend: str = "auto",
     ) -> None:
         if order not in _ORDERS:
             raise ParameterError(f"order must be one of {_ORDERS}, got {order!r}")
-        # Validate the backend name (and any environment override) up
-        # front, even for searches that end up on the oracle loop.
-        resolve_kernel_backend(kernel_backend, 0)
         self.params = params
         self.order = order
         self.node_budget = node_budget
@@ -262,38 +213,11 @@ class QuasiCliqueSearch:
             if use_distance_pruning
             else None
         )
-        if use_incremental_kernel is None:
-            # Auto: DFS searches where the kernel's counter vectors beat
-            # the from-scratch masks — the γ < 0.5 regime (no diameter
-            # bound, fat candidate sets) at any size, and big working
-            # sets otherwise.  BFS interleaves siblings of many parents,
-            # keeping every shared counter vector alive at once, so it
-            # stays on the oracle.
-            use_kernel = order == DFS and (
-                params.distance_bound == 0
-                or len(survivors) >= KERNEL_AUTO_MIN_VERTICES
-            )
-        else:
-            use_kernel = use_incremental_kernel
-        # Counter lanes bound every kernel backend's local id space at
-        # KERNEL_MAX_VERTICES.  Under automatic selection, working sets
-        # beyond it (far past anything the dense local masks are built
-        # for) fall back to the from-scratch oracle loop; a *forced*
-        # kernel raises the typed capacity error from the constructor
-        # instead of silently degrading.
-        self._kernel = None
-        if use_kernel and (
-            use_incremental_kernel or len(survivors) <= KERNEL_MAX_VERTICES
-        ):
-            self._kernel = make_search_kernel(
-                self._adjacency,
-                params,
-                self._distance_index,
-                self.stats,
-                backend=kernel_backend,
-            )
-            self.stats.kernel_backend = self._kernel.backend_label
-            self.stats.kernel_dtype = self._kernel.dtype_name
+        self._kernel = make_search_kernel(
+            self._adjacency, params, self._distance_index, self.stats
+        )
+        self.stats.kernel_backend = self._kernel.backend_label
+        self.stats.kernel_dtype = self._kernel.dtype_name
         # Per-mask (size, γ, repr-rank) sort keys the top-k re-sorts reuse —
         # gamma_of_mask and the repr sort are pure functions of the mask.
         self._pattern_keys: Dict[int, Tuple] = {}
@@ -455,37 +379,20 @@ class QuasiCliqueSearch:
         targets: int = 0,
         k: int = 0,
     ) -> None:
-        """Drive the set-enumeration search in the requested ``mode``."""
+        """Drive the set-enumeration search in the requested ``mode``.
+
+        Every pruning rule is evaluated from the node's ``indeg_ext``
+        counter vector (see :mod:`repro.quasiclique.kernel` for the
+        invariants).  The cover and top-k size rules are probed twice:
+        first on the unrestricted union, then after candidate restriction.
+        Restriction only shrinks the union, so a node failing the early
+        probe provably fails the exact post-restriction check too — the
+        pruned set and every statistic are those of the single late check,
+        but the ~90 % of coverage nodes that die early never pay for the
+        restriction.
+        """
         if not self._universe:
             return
-        if self._kernel is not None:
-            self._run_kernel(mode, emitted, covered, targets, k)
-        else:
-            self._run_oracle(mode, emitted, covered, targets, k)
-
-    def _run_kernel(
-        self,
-        mode: str,
-        emitted: Optional[List[int]],
-        covered: Optional[List[int]],
-        targets: int,
-        k: int,
-    ) -> None:
-        """Set-enumeration loop on the incremental-counter kernel.
-
-        Same traversal, same pruning decisions and same emitted sets as
-        :meth:`_run_oracle` — every rule is evaluated from the node's
-        ``indeg_ext`` lane vector instead of from-scratch mask sweeps
-        (see :mod:`repro.quasiclique.kernel` for the invariants).
-
-        One reordering on top of the counters: the cover and top-k size
-        rules are probed *before* candidate restriction, on the
-        unrestricted union.  Restriction only shrinks the union, so a
-        node failing the early probe provably fails the exact post-
-        restriction check too — the pruned set, the traversal and every
-        statistic stay byte-identical to the oracle, but the ~90 % of
-        coverage nodes that die here never pay for the restriction.
-        """
         kernel = self._kernel
         frontier: deque = deque()
         frontier.append(kernel.root())
@@ -546,92 +453,6 @@ class QuasiCliqueSearch:
             if not candidates:
                 continue
             children = kernel.children(node)
-            if self.order == DFS:
-                # push in reverse so the smallest-ranked extension is explored first
-                children.reverse()
-            frontier.extend(children)
-
-    def _run_oracle(
-        self,
-        mode: str,
-        emitted: Optional[List[int]],
-        covered: Optional[List[int]],
-        targets: int,
-        k: int,
-    ) -> None:
-        """Historical from-scratch loop — the kernel's differential oracle."""
-        params = self.params
-        adjacency = self._adjacency
-        frontier: deque = deque()
-        frontier.append(_Node(members=(), members_mask=0, candidates=self._universe))
-
-        while frontier:
-            node = frontier.popleft() if self.order == BFS else frontier.pop()
-            self.stats.nodes_expanded += 1
-            if self.node_budget is not None and self.stats.nodes_expanded > self.node_budget:
-                raise SearchBudgetExceeded(
-                    f"expanded more than {self.node_budget} candidate quasi-cliques"
-                )
-
-            members_mask = node.members_mask
-            candidates = restrict_candidates_masks(
-                adjacency,
-                node.members,
-                members_mask,
-                node.candidates,
-                params,
-                self._distance_index,
-            )
-
-            if mode == "coverage":
-                assert covered is not None
-                covered_mask = covered[0]
-                if not targets & ~covered_mask:
-                    return
-                union = members_mask | candidates
-                if not union & ~covered_mask or not union & targets & ~covered_mask:
-                    self.stats.pruned_covered += 1
-                    continue
-
-            if mode == "topk" and emitted is not None and len(emitted) >= k:
-                smallest_top = min(pattern.bit_count() for pattern in emitted)
-                if (members_mask | candidates).bit_count() < smallest_top:
-                    self.stats.pruned_by_size += 1
-                    continue
-
-            if subtree_is_hopeless_masks(adjacency, members_mask, candidates, params):
-                self.stats.pruned_hopeless += 1
-                continue
-
-            union = members_mask | candidates
-            if candidates and satisfies_degree_condition_mask(adjacency, union, params):
-                # Lookahead: X ∪ candExts(X) is itself a quasi-clique — it
-                # subsumes every satisfying set of this subtree.
-                self.stats.lookahead_hits += 1
-                self._record(union, mode, emitted, covered, k)
-                continue
-
-            if members_mask.bit_count() >= params.min_size and (
-                satisfies_degree_condition_mask(adjacency, members_mask, params)
-            ):
-                self._record(members_mask, mode, emitted, covered, k)
-
-            if not candidates:
-                continue
-            # Ascending bit position == ascending rank: the relabelling in
-            # __init__ makes the per-node candidate sort of the original
-            # implementation free.
-            children: List[_Node] = []
-            rest = candidates
-            for vertex in iter_bits(candidates):
-                rest &= ~(1 << vertex)
-                children.append(
-                    _Node(
-                        members=node.members + (vertex,),
-                        members_mask=members_mask | (1 << vertex),
-                        candidates=rest,
-                    )
-                )
             if self.order == DFS:
                 # push in reverse so the smallest-ranked extension is explored first
                 children.reverse()

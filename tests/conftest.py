@@ -9,7 +9,33 @@ from repro.datasets.evolving import EvolvingScenario, random_scenario
 from repro.datasets.example import paper_example_graph
 from repro.datasets.synthetic import random_attributed_graph
 from repro.graph.attributed_graph import AttributedGraph
+from repro.quasiclique import kernel
 from repro.quasiclique.definitions import QuasiCliqueParams
+
+#: ``NUMPY_AUTO_MIN_VERTICES`` values that pin ``make_search_kernel`` to
+#: one backend for every working set (``"auto"`` restores the default).
+_BACKEND_THRESHOLDS = {
+    kernel.BIGINT_BACKEND: kernel.KERNEL_MAX_VERTICES + 1,
+    kernel.NUMPY_BACKEND: 0,
+    "auto": kernel.NUMPY_AUTO_MIN_VERTICES,
+}
+
+
+@pytest.fixture
+def force_kernel_backend(monkeypatch):
+    """Return ``force(backend)``, which pins the search-kernel backend.
+
+    The kernel backend is chosen by working-set size alone; patching the
+    size threshold steers every later search, including those of forked
+    worker processes, and is undone when the test ends.
+    """
+
+    def force(backend: str) -> None:
+        monkeypatch.setattr(
+            kernel, "NUMPY_AUTO_MIN_VERTICES", _BACKEND_THRESHOLDS[backend]
+        )
+
+    return force
 
 
 @pytest.fixture

@@ -7,8 +7,11 @@ Three independent reference points pin the bitset engine down:
 * the **naive baseline miner**, which enumerates exhaustively and applies
   the thresholds only afterwards — any pruning bug in SCPM shows up as a
   disagreement;
-* the **set-based pruning rules**, the readable specification the mask
-  twins in :mod:`repro.quasiclique.pruning` must reproduce bit for bit.
+* the **set-based pruning rules** of the test oracle
+  (``tests/quasiclique/oracle.py``), the readable specification the mask
+  rules must reproduce bit for bit — the production vertex pruning and
+  distance index of :mod:`repro.quasiclique.pruning` and the oracle's
+  mask twins of the candidate rules.
 
 The graphs come from :mod:`repro.datasets.synthetic` (randomized but
 seed-deterministic), exactly the structures the paper's workloads exhibit.
@@ -33,12 +36,12 @@ from repro.datasets.synthetic import (
 from repro.itemsets.eclat import EclatConfig, EclatMiner
 from repro.quasiclique.definitions import QuasiCliqueParams
 from repro.quasiclique.search import find_quasi_cliques
-from repro.quasiclique.pruning import (
-    MaskDistanceIndex,
+from repro.quasiclique.pruning import MaskDistanceIndex, prune_low_degree_masks
+from tests.quasiclique.oracle import (
     DistanceIndex,
+    allowed_extensions_masks,
     filter_candidates_by_degree,
     filter_candidates_by_degree_masks,
-    prune_low_degree_masks,
     prune_low_degree_vertices,
     subtree_is_hopeless,
     subtree_is_hopeless_masks,
@@ -295,6 +298,6 @@ class TestMaskPruningTwins:
             )
         members = vertices[:3]
         everything = set(vertices)
-        assert mask_index.allowed_extensions(
-            [ids[m] for m in members], self.to_mask(ids, everything)
+        assert allowed_extensions_masks(
+            mask_index, [ids[m] for m in members], self.to_mask(ids, everything)
         ) == self.to_mask(ids, set_index.allowed_extensions(members, everything))

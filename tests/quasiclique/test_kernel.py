@@ -4,13 +4,14 @@ Two families of guarantees:
 
 * **Counter invariants** — at every expanded node the kernel's
   ``indeg_ext`` lane vector must equal the from-scratch mask
-  recomputation (checked through the ``SearchKernel.debug_hook`` seam on
+  recomputation (checked by wrapping ``SearchKernel.restrict`` on
   randomized graphs, every search mode, both traversal orders).
 * **Differential identity** — every search mode must return
-  byte-identical results (and identical expansion/pruning statistics)
-  with the kernel on and off, across a randomized size/density grid,
-  high and low γ (the γ < 0.5 regime disables distance pruning and is
-  the kernel's primary target), both orders, and both engines.
+  byte-identical results and identical statistics (``counter_updates``
+  aside) on the kernel-driven :class:`QuasiCliqueSearch` and on the
+  from-scratch :class:`~tests.quasiclique.oracle.OracleSearch`, across a
+  randomized size/density grid, high and low γ (the γ < 0.5 regime
+  disables distance pruning), both orders, and both engines.
 
 Seeds are fixed so failures replay; CI appends one more seed through the
 ``REPRO_FUZZ_SEED`` environment variable, exactly like the sparse/dense
@@ -22,6 +23,8 @@ import os
 import pytest
 
 from repro.datasets.synthetic import random_attributed_graph
+from repro.errors import KernelCapacityError
+from repro.quasiclique import kernel
 from repro.quasiclique.definitions import QuasiCliqueParams
 from repro.quasiclique.kernel import (
     KERNEL_MAX_VERTICES,
@@ -30,13 +33,18 @@ from repro.quasiclique.kernel import (
     threshold_table,
 )
 from repro.quasiclique.search import BFS, DFS, QuasiCliqueSearch
+from tests.quasiclique.oracle import (
+    CounterInvariantChecker,
+    OracleSearch,
+    comparable_stats,
+)
 
 BASE_SEEDS = (5, 23)
 
 #: (num_vertices, edge_probability, γ, min_size) — shapes from
 #: near-empty to dense.  γ < 0.5 rows run without the diameter bound —
-#: the regime where the kernel replaces the oracle's fattest sweeps —
-#: and are paired with sizes/densities whose exhaustive trees stay small.
+#: the regime with the fattest candidate sets — and are paired with
+#: sizes/densities whose exhaustive trees stay small.
 CASE_GRID = (
     (10, 0.1, 0.4, 3),
     (14, 0.3, 0.4, 3),
@@ -67,68 +75,44 @@ def fuzz_graph(seed, num_vertices, edge_probability):
     )
 
 
-def stats_tuple(stats):
-    """Every statistic both loops must agree on (kernel bookkeeping aside)."""
-    return (
-        stats.nodes_expanded,
-        stats.lookahead_hits,
-        stats.satisfying_sets_found,
-        stats.pruned_hopeless,
-        stats.pruned_covered,
-        stats.pruned_by_size,
-    )
-
-
 # ----------------------------------------------------------------------
-# counter invariants through the debug hook
+# counter invariants at every restricted node
 # ----------------------------------------------------------------------
-class _InvariantChecker:
-    """debug_hook asserting live lanes == from-scratch at every node."""
-
-    def __init__(self):
-        self.nodes_checked = 0
-
-    def __call__(self, kernel, node):
-        self.nodes_checked += 1
-        live = kernel.unpack(node)
-        oracle = kernel.recompute_counters(node)
-        assert live == oracle, (
-            f"indeg_ext diverged at node X={node.members!r} "
-            f"cand={bin(node.candidates)}: {live} != {oracle}"
-        )
-
-
 @pytest.mark.parametrize("seed", fuzz_seeds())
 @pytest.mark.parametrize(
     "num_vertices,edge_probability,gamma,min_size", CASE_GRID[:5]
 )
 def test_indeg_ext_invariant_at_every_expanded_node(
-    seed, num_vertices, edge_probability, gamma, min_size
+    seed, num_vertices, edge_probability, gamma, min_size, monkeypatch
 ):
     params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
-    checker = _InvariantChecker()
-    SearchKernel.debug_hook = checker
-    try:
-        graph = fuzz_graph(seed, num_vertices, edge_probability)
-        for order in (DFS, BFS):
-            for mode in ("coverage", "enumerate", "topk"):
-                search = QuasiCliqueSearch(
-                    graph, params, order=order, use_incremental_kernel=True
-                )
-                if mode == "coverage":
-                    search.covered_vertices()
-                elif mode == "enumerate":
-                    search.enumerate_maximal()
-                else:
-                    search.top_k(3)
-    finally:
-        SearchKernel.debug_hook = None
+    checker = CounterInvariantChecker(monkeypatch)
+    graph = fuzz_graph(seed, num_vertices, edge_probability)
+    for order in (DFS, BFS):
+        QuasiCliqueSearch(graph, params, order=order).covered_vertices()
+        QuasiCliqueSearch(graph, params, order=order).enumerate_maximal()
+        QuasiCliqueSearch(graph, params, order=order).top_k(3)
     assert checker.nodes_checked > 0
 
 
 # ----------------------------------------------------------------------
 # differential identity: kernel vs from-scratch oracle
 # ----------------------------------------------------------------------
+def all_modes(search_class, graph, params, **options):
+    """Results and comparable stats of every search mode on one loop."""
+    coverage = search_class(graph, params, **options)
+    enumerate_search = search_class(graph, params, **options)
+    topk = search_class(graph, params, **options)
+    return (
+        coverage.covered_vertices(),
+        comparable_stats(coverage.stats),
+        enumerate_search.enumerate_maximal(),  # order included
+        comparable_stats(enumerate_search.stats),
+        topk.top_k(4),
+        comparable_stats(topk.stats),
+    )
+
+
 @pytest.mark.parametrize("seed", fuzz_seeds())
 @pytest.mark.parametrize(
     "num_vertices,edge_probability,gamma,min_size", CASE_GRID
@@ -139,26 +123,9 @@ def test_kernel_byte_identical_to_oracle(
     graph = fuzz_graph(seed, num_vertices, edge_probability)
     params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
     for order in (DFS, BFS):
-        by_kernel = {}
-        for use_kernel in (False, True):
-            coverage = QuasiCliqueSearch(
-                graph, params, order=order, use_incremental_kernel=use_kernel
-            )
-            enumerate_search = QuasiCliqueSearch(
-                graph, params, order=order, use_incremental_kernel=use_kernel
-            )
-            topk = QuasiCliqueSearch(
-                graph, params, order=order, use_incremental_kernel=use_kernel
-            )
-            by_kernel[use_kernel] = (
-                coverage.covered_vertices(),
-                stats_tuple(coverage.stats),
-                enumerate_search.enumerate_maximal(),  # order included
-                stats_tuple(enumerate_search.stats),
-                topk.top_k(4),
-                stats_tuple(topk.stats),
-            )
-        assert by_kernel[True] == by_kernel[False]
+        assert all_modes(
+            QuasiCliqueSearch, graph, params, order=order
+        ) == all_modes(OracleSearch, graph, params, order=order)
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
@@ -167,13 +134,8 @@ def test_kernel_byte_identical_on_both_engines(seed):
     params = QuasiCliqueParams(gamma=0.6, min_size=3)
     results = set()
     for engine in ("dense", "sparse"):
-        for use_kernel in (False, True):
-            search = QuasiCliqueSearch(
-                graph,
-                params,
-                engine=engine,
-                use_incremental_kernel=use_kernel,
-            )
+        for search_class in (OracleSearch, QuasiCliqueSearch):
+            search = search_class(graph, params, engine=engine)
             results.add(
                 (search.covered_vertices(), tuple(search.enumerate_maximal()))
             )
@@ -182,43 +144,18 @@ def test_kernel_byte_identical_on_both_engines(seed):
 
 def test_vertex_restricted_search_identical(example_graph, example_qc_params):
     vertices = list(example_graph.vertices())[:8]
-    for use_kernel in (False, True):
-        search = QuasiCliqueSearch(
-            example_graph,
-            example_qc_params,
-            vertices=vertices,
-            use_incremental_kernel=use_kernel,
-        )
-        if use_kernel:
-            kernel_result = search.covered_vertices()
-        else:
-            oracle_result = search.covered_vertices()
+    kernel_result, oracle_result = (
+        search_class(
+            example_graph, example_qc_params, vertices=vertices
+        ).covered_vertices()
+        for search_class in (QuasiCliqueSearch, OracleSearch)
+    )
     assert kernel_result == oracle_result
 
 
 # ----------------------------------------------------------------------
-# selection rule and kernel plumbing
+# kernel plumbing
 # ----------------------------------------------------------------------
-def test_auto_selection_rule(example_graph):
-    low_gamma = QuasiCliqueParams(gamma=0.4, min_size=3)
-    high_gamma = QuasiCliqueParams(gamma=0.6, min_size=3)
-    # γ < 0.5: no usable diameter bound — the kernel always engages (DFS).
-    assert QuasiCliqueSearch(example_graph, low_gamma)._kernel is not None
-    # BFS never auto-selects the kernel.
-    assert QuasiCliqueSearch(example_graph, low_gamma, order=BFS)._kernel is None
-    # small γ ≥ 0.5 working sets keep the oracle...
-    assert QuasiCliqueSearch(example_graph, high_gamma)._kernel is None
-    # ...unless forced.
-    forced = QuasiCliqueSearch(
-        example_graph, high_gamma, use_incremental_kernel=True
-    )
-    assert forced._kernel is not None
-    disabled = QuasiCliqueSearch(
-        example_graph, low_gamma, use_incremental_kernel=False
-    )
-    assert disabled._kernel is None
-
-
 def test_deep_member_paths_use_the_lane_compare():
     # A 14-clique forces |X| past the small-set bound, exercising the SWAR
     # branches of the hopeless/lookahead rules; the oracle stays the
@@ -239,29 +176,21 @@ def test_deep_member_paths_use_the_lane_compare():
                 graph.add_edge(i, j)
     params = QuasiCliqueParams(gamma=0.9, min_size=10)
     results = {
-        use_kernel: (
-            QuasiCliqueSearch(
-                graph, params, use_incremental_kernel=use_kernel
-            ).enumerate_maximal(),
-            QuasiCliqueSearch(
-                graph, params, use_incremental_kernel=use_kernel
-            ).covered_vertices(),
+        search_class: (
+            search_class(graph, params).enumerate_maximal(),
+            search_class(graph, params).covered_vertices(),
         )
-        for use_kernel in (False, True)
+        for search_class in (OracleSearch, QuasiCliqueSearch)
     }
-    assert results[True] == results[False]
-    assert frozenset(clique[1:]) in results[True][0]
+    assert results[QuasiCliqueSearch] == results[OracleSearch]
+    assert frozenset(clique[1:]) in results[QuasiCliqueSearch][0]
 
 
 def test_counter_updates_stat_counts_kernel_work(example_graph):
     params = QuasiCliqueParams(gamma=0.6, min_size=4)
-    kernel_search = QuasiCliqueSearch(
-        example_graph, params, use_incremental_kernel=True
-    )
+    kernel_search = QuasiCliqueSearch(example_graph, params)
     kernel_search.covered_vertices()
-    oracle_search = QuasiCliqueSearch(
-        example_graph, params, use_incremental_kernel=False
-    )
+    oracle_search = OracleSearch(example_graph, params)
     oracle_search.covered_vertices()
     assert kernel_search.stats.counter_updates > 0
     assert oracle_search.stats.counter_updates == 0
@@ -277,6 +206,43 @@ def test_kernel_refuses_oversized_local_space():
             None,
             None,
         )
+
+
+def test_search_beyond_kernel_capacity_raises(example_graph, monkeypatch):
+    """Every search runs on the kernel: no silent fallback past its lanes."""
+    params = QuasiCliqueParams(gamma=0.6, min_size=4)
+    working = len(QuasiCliqueSearch(example_graph, params).working_vertices)
+    monkeypatch.setattr(kernel, "KERNEL_MAX_VERTICES", working - 1)
+    with pytest.raises(KernelCapacityError) as caught:
+        QuasiCliqueSearch(example_graph, params)
+    assert caught.value.working_set_size == working
+    assert caught.value.limit == working - 1
+
+
+def test_search_at_kernel_capacity_runs(example_graph, monkeypatch):
+    """A working set of exactly the lane capacity still fits the kernel."""
+    params = QuasiCliqueParams(gamma=0.6, min_size=4)
+    expected = OracleSearch(example_graph, params).enumerate_maximal()
+    working = len(QuasiCliqueSearch(example_graph, params).working_vertices)
+    monkeypatch.setattr(kernel, "KERNEL_MAX_VERTICES", working)
+    search = QuasiCliqueSearch(example_graph, params)
+    assert search.enumerate_maximal() == expected
+
+
+@pytest.mark.parametrize("mode", ("enumerate", "coverage", "top_k"))
+def test_small_searches_run_on_the_kernel(example_graph, mode):
+    """Tiny working sets use the kernel too: no size rule picks another loop."""
+    params = QuasiCliqueParams(gamma=0.6, min_size=4)
+    search = QuasiCliqueSearch(example_graph, params)
+    assert len(search.working_vertices) < 16
+    if mode == "enumerate":
+        search.enumerate_maximal()
+    elif mode == "coverage":
+        search.covered_vertices()
+    else:
+        search.top_k(3)
+    assert search.stats.kernel_backend_label() == "bigint"
+    assert search.stats.counter_updates > 0
 
 
 def test_spread_lanes():

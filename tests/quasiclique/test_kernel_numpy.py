@@ -7,14 +7,13 @@ oracle, this one proves the vectorized numpy backend
 kernel — same emitted sets, same expansion/pruning statistics and the
 same ``counter_updates`` tally, across the randomized grid, both
 traversal orders and both vertex-set engines.  The big-int backend thus
-stays the differential oracle for any future lane representation (a C
-extension would slot into the same :func:`make_search_kernel` seam and
-inherit this suite).
+stays the differential reference for any future lane representation.
+Backends are forced through the ``force_kernel_backend`` fixture, which
+patches the working-set-size threshold of :func:`make_search_kernel`.
 
 Also covered: the per-dtype lane selection (uint8 up to 127 working
 vertices, uint16 beyond), the typed :class:`KernelCapacityError` on both
-capacity limits, the ``REPRO_KERNEL_BACKEND`` environment override and
-the working-set-size auto heuristic.
+capacity limits and the working-set-size selection rule.
 
 Seeds are fixed so failures replay; CI appends one more seed through the
 ``REPRO_FUZZ_SEED`` environment variable, exactly like ``test_kernel.py``.
@@ -25,25 +24,20 @@ import os
 import pytest
 
 from repro.datasets.synthetic import random_attributed_graph
-from repro.errors import KernelCapacityError, ParameterError
+from repro.errors import KernelCapacityError
 from repro.quasiclique.definitions import QuasiCliqueParams
 from repro.quasiclique.kernel import (
     BIGINT_BACKEND,
-    KERNEL_BACKEND_ENV,
     KERNEL_MAX_VERTICES,
     NUMPY_AUTO_MIN_VERTICES,
     NUMPY_BACKEND,
     NUMPY_UINT8_MAX_VERTICES,
     SearchKernel,
     make_search_kernel,
-    numpy_available,
-    resolve_kernel_backend,
 )
+from repro.quasiclique.kernel_numpy import NumpySearchKernel
 from repro.quasiclique.search import BFS, DFS, QuasiCliqueSearch, SearchStats
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend needs numpy importable"
-)
+from tests.quasiclique.oracle import CounterInvariantChecker
 
 BASE_SEEDS = (5, 23)
 
@@ -94,15 +88,9 @@ def stats_tuple(stats):
     )
 
 
-def all_modes(graph, params, order, backend):
+def all_modes(graph, params, order):
     def searcher():
-        return QuasiCliqueSearch(
-            graph,
-            params,
-            order=order,
-            use_incremental_kernel=True,
-            kernel_backend=backend,
-        )
+        return QuasiCliqueSearch(graph, params, order=order)
 
     coverage, enum, topk = searcher(), searcher(), searcher()
     return (
@@ -123,30 +111,28 @@ def all_modes(graph, params, order, backend):
     "num_vertices,edge_probability,gamma,min_size", CASE_GRID
 )
 def test_numpy_byte_identical_to_bigint(
-    seed, num_vertices, edge_probability, gamma, min_size
+    seed, num_vertices, edge_probability, gamma, min_size, force_kernel_backend
 ):
     graph = fuzz_graph(seed, num_vertices, edge_probability)
     params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
     for order in (DFS, BFS):
-        bigint = all_modes(graph, params, order, BIGINT_BACKEND)
-        vectorized = all_modes(graph, params, order, NUMPY_BACKEND)
+        force_kernel_backend(BIGINT_BACKEND)
+        bigint = all_modes(graph, params, order)
+        force_kernel_backend(NUMPY_BACKEND)
+        vectorized = all_modes(graph, params, order)
         assert vectorized == bigint
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
-def test_numpy_byte_identical_on_both_engines(seed):
+def test_numpy_byte_identical_on_both_engines(seed, force_kernel_backend):
     graph = fuzz_graph(seed, 22, 0.35)
     params = QuasiCliqueParams(gamma=0.6, min_size=3)
     results = set()
     for engine in ("dense", "sparse"):
         for backend in (BIGINT_BACKEND, NUMPY_BACKEND):
-            search = QuasiCliqueSearch(
-                graph,
-                params,
-                engine=engine,
-                use_incremental_kernel=True,
-                kernel_backend=backend,
-            )
+            force_kernel_backend(backend)
+            search = QuasiCliqueSearch(graph, params, engine=engine)
+            assert search.stats.kernel_backend == backend
             results.add(
                 (search.covered_vertices(), tuple(search.enumerate_maximal()))
             )
@@ -154,58 +140,36 @@ def test_numpy_byte_identical_on_both_engines(seed):
 
 
 # ----------------------------------------------------------------------
-# counter invariants through the shared debug hook
+# counter invariants at every restricted node (shared restrict)
 # ----------------------------------------------------------------------
-class _InvariantChecker:
-    """debug_hook asserting live lanes == from-scratch at every node."""
-
-    def __init__(self):
-        self.nodes_checked = 0
-
-    def __call__(self, kernel, node):
-        self.nodes_checked += 1
-        live = kernel.unpack(node)
-        oracle = kernel.recompute_counters(node)
-        assert live == oracle, (
-            f"indeg_ext diverged at node X={node.members!r} "
-            f"cand={bin(node.candidates)}: {live} != {oracle}"
-        )
-
-
 @pytest.mark.parametrize("seed", fuzz_seeds())
 @pytest.mark.parametrize(
     "num_vertices,edge_probability,gamma,min_size", CASE_GRID[:4]
 )
 def test_numpy_indeg_ext_invariant_at_every_expanded_node(
-    seed, num_vertices, edge_probability, gamma, min_size
+    seed,
+    num_vertices,
+    edge_probability,
+    gamma,
+    min_size,
+    force_kernel_backend,
+    monkeypatch,
 ):
     params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
-    checker = _InvariantChecker()
-    SearchKernel.debug_hook = checker
-    try:
-        graph = fuzz_graph(seed, num_vertices, edge_probability)
-        for order in (DFS, BFS):
-            for mode in ("coverage", "enumerate", "topk"):
-                search = QuasiCliqueSearch(
-                    graph,
-                    params,
-                    order=order,
-                    use_incremental_kernel=True,
-                    kernel_backend=NUMPY_BACKEND,
-                )
-                if mode == "coverage":
-                    search.covered_vertices()
-                elif mode == "enumerate":
-                    search.enumerate_maximal()
-                else:
-                    search.top_k(3)
-    finally:
-        SearchKernel.debug_hook = None
+    force_kernel_backend(NUMPY_BACKEND)
+    checker = CounterInvariantChecker(monkeypatch)
+    graph = fuzz_graph(seed, num_vertices, edge_probability)
+    for order in (DFS, BFS):
+        QuasiCliqueSearch(graph, params, order=order).covered_vertices()
+        QuasiCliqueSearch(graph, params, order=order).enumerate_maximal()
+        QuasiCliqueSearch(graph, params, order=order).top_k(3)
     assert checker.nodes_checked > 0
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
-def test_row_loop_sweep_identical_to_cumsum(seed, monkeypatch):
+def test_row_loop_sweep_identical_to_cumsum(
+    seed, monkeypatch, force_kernel_backend
+):
     """Both retirement-sweep strategies must agree byte-for-byte.
 
     ``children()`` batches the sibling retirement with ``np.cumsum`` for
@@ -218,11 +182,13 @@ def test_row_loop_sweep_identical_to_cumsum(seed, monkeypatch):
 
     graph = fuzz_graph(seed, 16, 0.35)
     params = QuasiCliqueParams(gamma=0.45, min_size=3)
-    default = all_modes(graph, params, DFS, NUMPY_BACKEND)
+    force_kernel_backend(NUMPY_BACKEND)
+    default = all_modes(graph, params, DFS)
     monkeypatch.setattr(kernel_numpy, "_CUMSUM_CELLS_MAX", 0)
-    forced_row_loop = all_modes(graph, params, DFS, NUMPY_BACKEND)
+    forced_row_loop = all_modes(graph, params, DFS)
     assert forced_row_loop == default
-    assert default == all_modes(graph, params, DFS, BIGINT_BACKEND)
+    force_kernel_backend(BIGINT_BACKEND)
+    assert default == all_modes(graph, params, DFS)
 
 
 def test_empty_working_set_kernel():
@@ -234,9 +200,9 @@ def test_empty_working_set_kernel():
 # ----------------------------------------------------------------------
 # dtype selection and capacity limits
 # ----------------------------------------------------------------------
-def _kernel_for(n, backend=NUMPY_BACKEND):
+def _kernel_for(n, kernel_class=NumpySearchKernel):
     params = QuasiCliqueParams(gamma=0.5, min_size=3)
-    return make_search_kernel([0] * n, params, None, SearchStats(), backend)
+    return kernel_class([0] * n, params, None, SearchStats())
 
 
 def test_dtype_uint8_up_to_127_vertices():
@@ -264,63 +230,48 @@ def test_numpy_capacity_error_beyond_uint16():
 
 def test_bigint_capacity_error_beyond_lane_limit():
     with pytest.raises(KernelCapacityError) as caught:
-        _kernel_for(KERNEL_MAX_VERTICES + 1, backend=BIGINT_BACKEND)
+        _kernel_for(KERNEL_MAX_VERTICES + 1, kernel_class=SearchKernel)
     error = caught.value
     assert error.limit == KERNEL_MAX_VERTICES
     assert error.backend == BIGINT_BACKEND
 
 
-def test_search_reports_backend_and_dtype():
+def test_search_reports_backend_and_dtype(force_kernel_backend):
     graph = fuzz_graph(1, 20, 0.4)
     params = QuasiCliqueParams(gamma=0.6, min_size=3)
-    search = QuasiCliqueSearch(
-        graph, params, use_incremental_kernel=True, kernel_backend=NUMPY_BACKEND
-    )
+    force_kernel_backend(NUMPY_BACKEND)
+    search = QuasiCliqueSearch(graph, params)
     assert search.stats.kernel_backend == NUMPY_BACKEND
     assert search.stats.kernel_dtype == "uint8"
     assert search.stats.kernel_backend_label() == "numpy(uint8)"
 
 
 # ----------------------------------------------------------------------
-# backend resolution: validation, env override, auto heuristic
+# backend selection: working-set size alone
 # ----------------------------------------------------------------------
-def test_unknown_backend_rejected():
-    with pytest.raises(ParameterError):
-        resolve_kernel_backend("cython", 10)
-    with pytest.raises(ParameterError):
-        QuasiCliqueSearch(
-            fuzz_graph(1, 8, 0.3),
-            QuasiCliqueParams(gamma=0.5, min_size=3),
-            kernel_backend="cython",
-        )
+def test_backend_picked_by_working_set_size():
+    params = QuasiCliqueParams(gamma=0.5, min_size=3)
+
+    def backend_for(n):
+        return make_search_kernel(
+            [0] * n, params, None, SearchStats()
+        ).backend_label
+
+    assert backend_for(NUMPY_AUTO_MIN_VERTICES - 1) == BIGINT_BACKEND
+    assert backend_for(NUMPY_AUTO_MIN_VERTICES) == NUMPY_BACKEND
+    # beyond the lane capacity every backend refuses
+    with pytest.raises(KernelCapacityError):
+        backend_for(KERNEL_MAX_VERTICES + 1)
 
 
-def test_auto_picks_by_working_set_size(monkeypatch):
-    monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-    assert (
-        resolve_kernel_backend("auto", NUMPY_AUTO_MIN_VERTICES - 1)
-        == BIGINT_BACKEND
+def test_backend_choice_ignores_environment(monkeypatch):
+    """No environment variable steers the backend; size alone decides."""
+    params = QuasiCliqueParams(gamma=0.5, min_size=3)
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+    small = make_search_kernel([0] * 4, params, None, SearchStats())
+    assert small.backend_label == BIGINT_BACKEND
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bigint")
+    wide = make_search_kernel(
+        [0] * NUMPY_AUTO_MIN_VERTICES, params, None, SearchStats()
     )
-    assert (
-        resolve_kernel_backend("auto", NUMPY_AUTO_MIN_VERTICES) == NUMPY_BACKEND
-    )
-    # beyond numpy lane capacity auto stays on big-int (which the search
-    # loop then auto-disables; only a *forced* kernel raises).
-    assert (
-        resolve_kernel_backend("auto", KERNEL_MAX_VERTICES + 1)
-        == BIGINT_BACKEND
-    )
-
-
-def test_env_override_steers_auto(monkeypatch):
-    monkeypatch.setenv(KERNEL_BACKEND_ENV, NUMPY_BACKEND)
-    assert resolve_kernel_backend("auto", 10) == NUMPY_BACKEND
-    monkeypatch.setenv(KERNEL_BACKEND_ENV, BIGINT_BACKEND)
-    assert resolve_kernel_backend("auto", 10 ** 6) == BIGINT_BACKEND
-    # explicit requests win over the environment
-    assert resolve_kernel_backend(NUMPY_BACKEND, 10) == NUMPY_BACKEND
-    monkeypatch.setenv(KERNEL_BACKEND_ENV, "not-a-backend")
-    with pytest.raises(ParameterError):
-        resolve_kernel_backend("auto", 10)
-    # ...and ignore a broken environment value entirely
-    assert resolve_kernel_backend(BIGINT_BACKEND, 10) == BIGINT_BACKEND
+    assert wide.backend_label == NUMPY_BACKEND

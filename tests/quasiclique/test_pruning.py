@@ -1,7 +1,7 @@
-"""Unit tests for the quasi-clique pruning rules."""
+"""Unit tests for the set-based pruning rules of the test oracle."""
 
 from repro.quasiclique.definitions import QuasiCliqueParams
-from repro.quasiclique.pruning import (
+from tests.quasiclique.oracle import (
     DistanceIndex,
     filter_candidates_by_degree,
     prune_low_degree_vertices,
