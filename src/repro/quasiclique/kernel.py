@@ -20,14 +20,19 @@ big-int operations instead of a per-vertex (or per-edge) Python loop.
 The vector invariant:
 
 * ``ext_vec`` — lane ``v`` holds ``|N(v) ∩ scope|`` **for every vertex
-  of the working graph**, in or out of scope.  Removing a vertex ``u``
-  from the scope (exhausted by the sibling sweep, removed by the
-  distance rule, or removed by the degree filter) is one subtraction of
-  the precomputed *spread neighbourhood* ``SPREAD[u]`` (the adjacency
-  mask of ``u`` expanded to one unit per 16-bit lane).  Because every
-  removal subtracts the full neighbourhood, each lane always counts a
-  real set intersection and can never underflow — there are no stale
-  entries to guard.
+  of the working graph**, in or out of scope.  A vertex ``u`` exhausted
+  by the sibling sweep leaves the scope by one subtraction of the
+  precomputed *spread neighbourhood* ``SPREAD[u]`` (the adjacency mask
+  of ``u`` expanded to one unit per 16-bit lane).  A restriction (the
+  distance rule, each degree-filter round) retires a whole mask and
+  takes its smaller side: it subtracts ``SPREAD`` of every dropped
+  vertex, or, when more vertices are dropped than the scope keeps,
+  rebuilds ``ext_vec`` as the sum of ``SPREAD`` over the kept scope.
+  On a large sparse working set the γ ≥ 0.5 distance rule drops nearly
+  the whole scope once the first member is added, which is where the
+  rebuild pays.  Either way only full neighbourhoods are added or
+  subtracted, so each lane always counts a real set intersection and
+  can never underflow — there are no stale entries to guard.
 
 ``indeg_x`` is not carried as a vector: it is only ever read for the
 |X| members of the rare nodes that reach the final degree-condition
@@ -50,8 +55,8 @@ answers "does any member/candidate fall short of the threshold?" in
 O(|V|/64) machine words:
 
 * the candidate degree filter → one compare per fixpoint round plus
-  one ``SPREAD`` subtraction per actually dropped candidate (a
-  from-scratch filter re-popcounts every candidate every round);
+  the retirement of the candidates it drops (a from-scratch filter
+  re-popcounts every candidate every round);
 * the hopelessness rule, the lookahead check and the degree condition
   → one compare each.
 
@@ -80,6 +85,8 @@ differential reference the numpy backend is fuzzed against.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import KernelCapacityError
@@ -201,14 +208,16 @@ class SearchKernel:
     One kernel serves one :class:`~repro.quasiclique.search.QuasiCliqueSearch`
     instance: it shares the search's local-id adjacency masks and its
     :class:`~repro.quasiclique.search.SearchStats` (``counter_updates``
-    counts the individual per-vertex counter changes the vector
-    operations perform — one per neighbour lane touched).
+    counts the lane units the vector operations add or subtract — a
+    vertex's degree per ``SPREAD`` vector, see the stats docstring).
 
-    The rule methods are written once here; a backend subclass (the
-    numpy kernel) overrides only the lane representation —
-    :meth:`_build_lanes`, :meth:`root`, :meth:`children`,
-    :meth:`_remove`, :meth:`unpack` and the three threshold compares
-    :meth:`_failing`, :meth:`_members_short` and :meth:`_scope_short`.
+    The rule methods are written once here, :meth:`_remove`'s choice of
+    retirement side included; a backend subclass (the numpy kernel)
+    overrides only the lane representation — :meth:`_build_lanes`,
+    :meth:`root`, :meth:`children`, the two retirement sides
+    :meth:`_subtract` and :meth:`_rebuild`, :meth:`unpack` and the three
+    threshold compares :meth:`_failing`, :meth:`_members_short` and
+    :meth:`_scope_short`.
     """
 
     __slots__ = (
@@ -364,11 +373,12 @@ class SearchKernel:
         First the diameter rule, then the degree filter: a candidate ``u``
         must keep ``|N(u) ∩ (X ∪ cand)| ≥ ceil(γ(max(min_size, |X|+1)-1))``,
         applied to its unique fixpoint.  Each fixpoint round is **one**
-        SWAR compare exposing every failing candidate at once; only
-        actually dropped candidates cost a ``SPREAD`` subtraction.  Only the *newest* member
-        contributes a fresh distance constraint: the node's candidates are
-        a subset of the parent's already-restricted candidates, so the
-        older members' constraints are already satisfied.
+        SWAR compare exposing every failing candidate at once; only the
+        dropped candidates are then retired, by :meth:`_remove`.  Only the
+        *newest* member contributes a fresh distance constraint: the
+        node's candidates are a subset of the parent's already-restricted
+        candidates, so the older members' constraints are already
+        satisfied.
         """
         candidates = node.candidates
         if candidates:
@@ -377,7 +387,7 @@ class SearchKernel:
                 allowed = candidates & distance_index.reachable(node.members[-1])
                 dropped = candidates & ~allowed
                 if dropped:
-                    self._remove(node, dropped)
+                    self._remove(node, dropped, allowed)
                     candidates = allowed
             if candidates:
                 required = self._thresholds[
@@ -401,18 +411,32 @@ class SearchKernel:
                         dropped = self._failing(node, candidates, required)
                     if not dropped:
                         break
-                    self._remove(node, dropped)
                     candidates &= ~dropped
+                    self._remove(node, dropped, candidates)
                     if not candidates:
                         break
             node.candidates = candidates
 
-    def _remove(self, node: KernelNode, dropped: int) -> None:
-        """Retire a candidate mask from the node's scope.
+    def _remove(self, node: KernelNode, dropped: int, kept: int) -> None:
+        """Retire the ``dropped`` candidates, leaving ``kept`` as the candidates.
 
-        One ``SPREAD`` subtraction per dropped vertex keeps every lane of
-        ``ext_vec`` exact (see the module docstring — full-neighbourhood
-        subtraction means no lane ever goes stale or underflows).
+        Either side of the split yields the same exact ``ext_vec``, so the
+        cheaper one is taken: subtract the dropped vertices' ``SPREAD``
+        vectors, or — when more vertices leave than stay, as under the
+        γ ≥ 0.5 distance rule on a large sparse working set — rebuild the
+        vector from the kept scope ``X ∪ kept``.
+        """
+        if dropped.bit_count() > len(node.members) + kept.bit_count():
+            self._rebuild(node, kept)
+        else:
+            self._subtract(node, dropped)
+
+    def _subtract(self, node: KernelNode, dropped: int) -> None:
+        """Retire ``dropped`` by one ``SPREAD`` subtraction per vertex.
+
+        Full-neighbourhood subtraction keeps every lane of ``ext_vec``
+        exact (see the module docstring — no lane ever goes stale or
+        underflows).
         """
         adjacency = self.adjacency
         spread = self._spread
@@ -426,6 +450,34 @@ class SearchKernel:
             v = low.bit_length() - 1
             ext_vec -= spread[v]
             cand_high &= ~(1 << ((v << 4) | 15))
+            updates += adjacency[v].bit_count()
+        node.ext_vec = ext_vec
+        node.cand_high = cand_high
+        self.stats.counter_updates += updates
+
+    def _rebuild(self, node: KernelNode, kept: int) -> None:
+        """Recompute ``ext_vec`` and ``cand_high`` for the scope ``X ∪ kept``.
+
+        ``ext_vec`` becomes the sum of the scope's ``SPREAD`` vectors, and
+        the candidate top bits are set in the same pass over ``kept``.
+        ``counter_updates`` grows by the lane units added — the scope's
+        degrees.
+        """
+        adjacency = self.adjacency
+        spread = self._spread
+        ext_vec = 0
+        updates = 0
+        for v in node.members:
+            ext_vec += spread[v]
+            updates += adjacency[v].bit_count()
+        cand_high = 0
+        scan = kept
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            v = low.bit_length() - 1
+            ext_vec += spread[v]
+            cand_high |= 1 << ((v << 4) | 15)
             updates += adjacency[v].bit_count()
         node.ext_vec = ext_vec
         node.cand_high = cand_high
@@ -510,12 +562,11 @@ class SearchKernel:
         property suite compares this table with a from-scratch
         recomputation at every expanded node.
         """
-        ext_vec = node.ext_vec
-        mask = (1 << LANE_BITS) - 1
-        return [
-            (ext_vec >> (v * LANE_BITS)) & mask
-            for v in range(len(self.adjacency))
-        ]
+        raw = node.ext_vec.to_bytes(len(self.adjacency) * LANE_BITS // 8, "little")
+        lanes = array("H", raw)  # 16-bit lanes, read little-endian
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return lanes.tolist()
 
 
 def make_search_kernel(

@@ -8,11 +8,15 @@ propagation; this backend stores the same counter table as a numpy array —
 one unsigned lane per working vertex — so the identical rules run through
 numpy's SIMD bulk kernels instead:
 
-* vertex retirement (the sibling sweep of :meth:`NumpySearchKernel.children`
-  and the candidate drops of :meth:`NumpySearchKernel._remove`) is a
-  vectorized neighbourhood subtraction — one running sum over the retired
+* vertex retirement is vectorized: in the sibling sweep of
+  :meth:`NumpySearchKernel.children` one running sum over the retired
   rows of the 0/1 adjacency matrix produces *every* sibling's counter
-  vector in one batch, where the big-int kernel subtracts per sibling;
+  vector in one batch, where the big-int kernel subtracts per sibling.
+  A restriction retires its dropped candidates on the side the shared
+  ``_remove`` picks: :meth:`NumpySearchKernel._subtract` takes one row
+  sum over the dropped rows, :meth:`NumpySearchKernel._rebuild` one row
+  sum over the kept scope's rows (used when more vertices are dropped
+  than kept);
 * the threshold rules (candidate filter, hopelessness, lookahead) are one
   vectorized compare ``ext_vec < required`` plus a boolean mask-reduce,
   replacing the SWAR borrow trick.
@@ -101,10 +105,11 @@ class NumpySearchKernel(SearchKernel):
     Same constructor signature, same method surface, same statistics —
     see the module docstring for the representation differences.  The
     search-rule skeleton (restriction fixpoint, small-set short-cuts,
-    member check) is inherited; this class overrides only the lane
-    representation: the lane table, node construction, vertex retirement
-    and the three threshold compares.  ``stats.counter_updates`` accounts
-    one unit per neighbour lane touched, exactly like the big-int backend.
+    member check, the choice of retirement side) is inherited; this class
+    overrides only the lane representation: the lane table, node
+    construction, the two retirement sides and the three threshold
+    compares.  ``stats.counter_updates`` counts the lane units added or
+    subtracted, exactly like the big-int backend.
     """
 
     __slots__ = ("dtype_name", "_dtype", "_n", "_degrees", "_root_ext")
@@ -234,11 +239,9 @@ class NumpySearchKernel(SearchKernel):
         scope_bool = self._mask_to_bool(node.members_mask | node.candidates)
         return bool(((node.ext_vec < required) & scope_bool).any())
 
-    def _remove(self, node: NumpyKernelNode, dropped: int) -> None:
-        """Retire a candidate mask from the node's scope.
+    def _subtract(self, node: NumpyKernelNode, dropped: int) -> None:
+        """Retire ``dropped`` by one batched row-sum over its adjacency rows.
 
-        One batched row-sum over the dropped vertices' adjacency rows
-        replaces the big-int kernel's per-vertex ``SPREAD`` subtractions.
         The counter vector is replaced out of place: it may be a row view
         into a sibling sweep matrix, and no other node may observe the
         change.
@@ -255,6 +258,18 @@ class NumpySearchKernel(SearchKernel):
             updates = sum(degrees[v] for v in drop_idx.tolist())
         node.ext_vec = node.ext_vec - total
         self.stats.counter_updates += updates
+
+    def _rebuild(self, node: NumpyKernelNode, kept: int) -> None:
+        """Recompute ``ext_vec`` as one row sum over the scope ``X ∪ kept``.
+
+        The node carries no ``cand_high`` — the compares derive candidate
+        membership from the int masks — so the row sum is the whole
+        rebuild.  Counted like the big-int rebuild: the scope's degrees.
+        """
+        scope_idx = np.flatnonzero(self._mask_to_bool(node.members_mask | kept))
+        node.ext_vec = self._spread[scope_idx].sum(axis=0, dtype=self._dtype)
+        degrees = self._degrees
+        self.stats.counter_updates += sum(degrees[v] for v in scope_idx.tolist())
 
     def unpack(self, node: NumpyKernelNode) -> List[int]:
         """The node's live ``indeg_ext`` lane values, one per vertex."""

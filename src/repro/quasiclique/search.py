@@ -81,8 +81,12 @@ class SearchBudgetExceeded(RuntimeError):
 class SearchStats:
     """Counters describing one quasi-clique search run.
 
-    ``counter_updates`` counts the individual ``indeg_ext`` increments and
-    decrements the incremental kernel performed.  ``kernel_backend`` /
+    ``counter_updates`` counts the ``indeg_ext`` lane units the
+    incremental kernel added or subtracted: the root's degree table
+    counts one per working vertex, retiring a vertex by subtraction
+    counts its degree, and a scope rebuild (a restriction that drops more
+    vertices than it keeps) counts the degrees of every vertex of the
+    kept scope ``X ∪ cand``.  ``kernel_backend`` /
     ``kernel_dtype`` name the kernel backend that drove the search
     (``"bigint"``/``"int"`` or ``"numpy"``/``"uint8"``/``"uint16"``; every
     search runs on one).  ``memo_hits``/``memo_misses``

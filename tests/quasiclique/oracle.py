@@ -45,7 +45,12 @@ from repro.quasiclique.definitions import (
     QuasiCliqueParams,
     satisfies_degree_condition_mask,
 )
-from repro.quasiclique.kernel import SearchKernel
+from repro.quasiclique.kernel import (
+    LANE_BITS,
+    KernelNode,
+    SearchKernel,
+    spread_lanes,
+)
 from repro.quasiclique.pruning import MaskDistanceIndex
 from repro.quasiclique.search import (
     BFS,
@@ -395,13 +400,20 @@ def recompute_counters(kernel, node) -> List[int]:
     return [(mask & scope).bit_count() for mask in kernel.adjacency]
 
 
+def lane_high(mask: int) -> int:
+    """The top bit of every 16-bit lane whose vertex is in ``mask``."""
+    return spread_lanes(mask) << (LANE_BITS - 1)
+
+
 class CounterInvariantChecker:
     """Checks the kernel's counter invariant after every restriction.
 
     Wraps ``SearchKernel.restrict`` (shared by both backends) through
     ``monkeypatch``: after each call the node's live ``indeg_ext`` lanes
     must equal :func:`recompute_counters` — for every vertex, in or out
-    of scope.
+    of scope.  On big-int nodes the ``members_high`` / ``cand_high``
+    lane-top-bit masks must also match ``members_mask`` / ``candidates``
+    (a retirement rewrites ``cand_high``; the SWAR compares trust it).
     """
 
     def __init__(self, monkeypatch) -> None:
@@ -417,6 +429,14 @@ class CounterInvariantChecker:
                 f"indeg_ext diverged at node X={node.members!r} "
                 f"cand={bin(node.candidates)}: {live} != {expected}"
             )
+            if isinstance(node, KernelNode):
+                assert node.members_high == lane_high(node.members_mask), (
+                    f"members_high diverged at node X={node.members!r}"
+                )
+                assert node.cand_high == lane_high(node.candidates), (
+                    f"cand_high diverged at node X={node.members!r} "
+                    f"cand={bin(node.candidates)}"
+                )
 
         monkeypatch.setattr(SearchKernel, "restrict", checked_restrict)
 

@@ -6,6 +6,10 @@ Two families of guarantees:
   ``indeg_ext`` lane vector must equal the from-scratch mask
   recomputation (checked by wrapping ``SearchKernel.restrict`` on
   randomized graphs, every search mode, both traversal orders).
+* **Scope rebuild** — a restriction that drops more vertices than it
+  keeps rebuilds the counter vector from the kept scope; the grid's
+  sparse γ ≥ 0.5 row drives that branch, and a 1 024-vertex patch
+  search pins its cost.
 * **Differential identity** — every search mode must return
   byte-identical results and identical statistics (``counter_updates``
   aside) on the kernel-driven :class:`QuasiCliqueSearch` and on the
@@ -22,12 +26,15 @@ import os
 
 import pytest
 
+from repro.datasets.evolving import patch_scenario
 from repro.datasets.synthetic import random_attributed_graph
 from repro.errors import KernelCapacityError
 from repro.quasiclique import kernel
 from repro.quasiclique.definitions import QuasiCliqueParams
 from repro.quasiclique.kernel import (
+    BIGINT_BACKEND,
     KERNEL_MAX_VERTICES,
+    NUMPY_BACKEND,
     SearchKernel,
     spread_lanes,
     threshold_table,
@@ -44,7 +51,9 @@ BASE_SEEDS = (5, 23)
 #: (num_vertices, edge_probability, γ, min_size) — shapes from
 #: near-empty to dense.  γ < 0.5 rows run without the diameter bound —
 #: the regime with the fattest candidate sets — and are paired with
-#: sizes/densities whose exhaustive trees stay small.
+#: sizes/densities whose exhaustive trees stay small.  The last row is
+#: wide and sparse under the diameter bound: the distance rule drops most
+#: of the scope, so restrictions take the rebuild side of ``_remove``.
 CASE_GRID = (
     (10, 0.1, 0.4, 3),
     (14, 0.3, 0.4, 3),
@@ -54,6 +63,7 @@ CASE_GRID = (
     (18, 0.5, 0.8, 4),
     (30, 0.2, 0.6, 3),
     (20, 0.4, 1.0, 3),
+    (60, 0.05, 0.6, 3),
 )
 
 
@@ -80,7 +90,7 @@ def fuzz_graph(seed, num_vertices, edge_probability):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", fuzz_seeds())
 @pytest.mark.parametrize(
-    "num_vertices,edge_probability,gamma,min_size", CASE_GRID[:5]
+    "num_vertices,edge_probability,gamma,min_size", CASE_GRID[:5] + CASE_GRID[-1:]
 )
 def test_indeg_ext_invariant_at_every_expanded_node(
     seed, num_vertices, edge_probability, gamma, min_size, monkeypatch
@@ -92,6 +102,57 @@ def test_indeg_ext_invariant_at_every_expanded_node(
         QuasiCliqueSearch(graph, params, order=order).covered_vertices()
         QuasiCliqueSearch(graph, params, order=order).enumerate_maximal()
         QuasiCliqueSearch(graph, params, order=order).top_k(3)
+    assert checker.nodes_checked > 0
+
+
+# ----------------------------------------------------------------------
+# scope rebuild: retire by the smaller side
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", fuzz_seeds())
+def test_case_grid_reaches_the_scope_rebuild(seed, monkeypatch):
+    """The grid drives ``_rebuild``, so the identity suites fuzz it."""
+    calls = []
+    rebuild = SearchKernel._rebuild
+
+    def counted(kernel, node, kept):
+        calls.append(kept)
+        rebuild(kernel, node, kept)
+
+    monkeypatch.setattr(SearchKernel, "_rebuild", counted)
+    for num_vertices, edge_probability, gamma, min_size in CASE_GRID:
+        graph = fuzz_graph(seed, num_vertices, edge_probability)
+        params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
+        QuasiCliqueSearch(graph, params).covered_vertices()
+    assert calls
+
+
+def test_sparse_patch_coverage_rebuilds_the_scope(
+    monkeypatch, force_kernel_backend
+):
+    """A 1 024-vertex sparse patch: the distance rule drops nearly every
+    candidate once a member is added.  Retiring those one ``SPREAD``
+    subtraction each would cost 1 318 397 counter updates; rebuilding
+    from the kept scope costs 44 786, on the same tree and on both
+    backends.
+    """
+    scenario = patch_scenario(seed=11, num_patches=2, edges_per_vertex=1.5)
+    graph = scenario.initial_graph()
+    patch = [v for v in scenario.vertices if v < 1024]
+    params = QuasiCliqueParams(gamma=0.6, min_size=3)
+    checker = CounterInvariantChecker(monkeypatch)
+    runs = []
+    for backend in (BIGINT_BACKEND, NUMPY_BACKEND):
+        force_kernel_backend(backend)
+        search = QuasiCliqueSearch(graph, params, vertices=patch)
+        assert search.stats.kernel_backend == backend
+        covered = search.covered_mask()
+        stats = dict(vars(search.stats))
+        del stats["kernel_backend"], stats["kernel_dtype"]
+        runs.append((covered, stats))
+    assert runs[0] == runs[1]
+    stats = runs[0][1]
+    assert stats["nodes_expanded"] == 983
+    assert stats["counter_updates"] <= 100_000
     assert checker.nodes_checked > 0
 
 

@@ -11,9 +11,11 @@ stays the differential reference for any future lane representation.
 Backends are forced through the ``force_kernel_backend`` fixture, which
 patches the working-set-size threshold of :func:`make_search_kernel`.
 
-Also covered: the per-dtype lane selection (uint8 up to 127 working
-vertices, uint16 beyond), the typed :class:`KernelCapacityError` on both
-capacity limits and the working-set-size selection rule.
+The grid's last row drives the scope rebuild of ``_remove``, so the
+identity test covers both retirement sides.  Also covered: the per-dtype
+lane selection (uint8 up to 127 working vertices, uint16 beyond), the
+typed :class:`KernelCapacityError` on both capacity limits and the
+working-set-size selection rule.
 
 Seeds are fixed so failures replay; CI appends one more seed through the
 ``REPRO_FUZZ_SEED`` environment variable, exactly like ``test_kernel.py``.
@@ -45,7 +47,9 @@ BASE_SEEDS = (5, 23)
 #: ``test_kernel.py`` grid: γ < 0.5 rows exercise the no-diameter-bound
 #: regime the numpy lanes target, γ ≥ 0.5 the distance-pruned one, and
 #: every row's exhaustive tree stays small (γ=0.4 at min_size=2 explodes
-#: to ~10M counter updates — deliberately excluded).
+#: to ~10M counter updates — deliberately excluded).  The last row is wide
+#: and sparse under the diameter bound, so restrictions take the rebuild
+#: side of ``_remove``.
 CASE_GRID = (
     (10, 0.1, 0.4, 3),
     (14, 0.3, 0.4, 3),
@@ -54,6 +58,7 @@ CASE_GRID = (
     (20, 0.4, 0.6, 3),
     (18, 0.5, 0.8, 4),
     (30, 0.2, 0.6, 3),
+    (60, 0.05, 0.6, 3),
 )
 
 
@@ -144,7 +149,7 @@ def test_numpy_byte_identical_on_both_engines(seed, force_kernel_backend):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", fuzz_seeds())
 @pytest.mark.parametrize(
-    "num_vertices,edge_probability,gamma,min_size", CASE_GRID[:4]
+    "num_vertices,edge_probability,gamma,min_size", CASE_GRID[:4] + CASE_GRID[-1:]
 )
 def test_numpy_indeg_ext_invariant_at_every_expanded_node(
     seed,
@@ -164,6 +169,27 @@ def test_numpy_indeg_ext_invariant_at_every_expanded_node(
         QuasiCliqueSearch(graph, params, order=order).enumerate_maximal()
         QuasiCliqueSearch(graph, params, order=order).top_k(3)
     assert checker.nodes_checked > 0
+
+
+@pytest.mark.parametrize("seed", fuzz_seeds())
+def test_case_grid_reaches_the_scope_rebuild(
+    seed, monkeypatch, force_kernel_backend
+):
+    """The grid drives the numpy ``_rebuild``, so the identity suite fuzzes it."""
+    calls = []
+    rebuild = NumpySearchKernel._rebuild
+
+    def counted(kernel, node, kept):
+        calls.append(kept)
+        rebuild(kernel, node, kept)
+
+    monkeypatch.setattr(NumpySearchKernel, "_rebuild", counted)
+    force_kernel_backend(NUMPY_BACKEND)
+    for num_vertices, edge_probability, gamma, min_size in CASE_GRID:
+        graph = fuzz_graph(seed, num_vertices, edge_probability)
+        params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
+        QuasiCliqueSearch(graph, params).covered_vertices()
+    assert calls
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
